@@ -17,7 +17,12 @@ import "fmt"
 // Both trackers shadow every graph mutation at the mutation site
 // (physAdd/physDel, insertNow, removeProcessor), riding the same edit-
 // log drains the incremental physical graph uses, so keeping them
-// current is O(region) per repair, not O(n) per checkpoint.
+// current is O(region) per repair, not O(n) per checkpoint. Edge
+// removals (only physCC sees any: G′ never loses an edge) are recorded,
+// not searched: the engine settles physCC where it folds the edit logs
+// at quiescence (Tick's idle branch, Drain, run). By then each repair
+// has re-linked the deleted node's neighbours, so the settle's
+// searches meet almost at once; any earlier read settles first.
 //
 // The O(1) equivalence proof combines two facts:
 //

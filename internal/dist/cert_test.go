@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -72,6 +73,77 @@ func TestCertificateMatchesRebuildEveryOp(t *testing.T) {
 		{3, 64, 40},
 	} {
 		certCampaign(t, c.seed, c.n, c.ops)
+	}
+}
+
+// certCampaignAsync is certCampaign's Submit-wave variant: waves of
+// ops go in through Submit while repairs are in flight, and whenever
+// Tick reports the engine idle the certificate must hold nothing
+// unsettled, match the rebuilt partitions, and agree with the BFS
+// connectivity sweep — the quiescent states the settle-at-idle
+// contract promises are exact.
+func certCampaignAsync(t *testing.T, seed int64, n, ops int, coalesce bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g0 := graph.PreferentialAttachment(n, 3, rng)
+	schedule := genSchedule(g0, ops, seed)
+	s := NewSimulation(g0)
+	if coalesce {
+		s.SetCoalescing(CoalesceConfig{Window: 4})
+	}
+	idle := 0
+	check := func(at string) {
+		t.Helper()
+		idle++
+		if k := s.physCC.Unsettled(); k != 0 {
+			t.Fatalf("seed %d %s: %d removal endpoints unsettled at idle", seed, at, k)
+		}
+		if err := s.checkCertFull(); err != nil {
+			t.Fatalf("seed %d %s: certificate diverged from rebuilt partition: %v", seed, at, err)
+		}
+		if err := s.checkConnectivity(s.phys); err != nil {
+			t.Fatalf("seed %d %s: certificate passed but BFS sweep disagrees: %v", seed, at, err)
+		}
+	}
+	for i := 0; i < len(schedule); {
+		w := 1 + rng.Intn(8)
+		var wave []Op
+		for ; w > 0 && i < len(schedule); w-- {
+			wave = append(wave, schedule[i].op)
+			i++
+		}
+		if err := s.Submit(wave...); err != nil {
+			t.Fatal(err)
+		}
+		// Mostly submit the next wave mid-flight; every third wave or
+		// so, tick on until the engine goes idle.
+		untilIdle := rng.Intn(3) == 0
+		for r := rng.Intn(12); untilIdle || r > 0; r-- {
+			if !s.Tick() {
+				check(fmt.Sprintf("op %d", i))
+				break
+			}
+		}
+	}
+	for s.Tick() {
+	}
+	check("end")
+	for _, ev := range s.Poll() {
+		if ev.Kind == EventOpRejected {
+			t.Fatalf("seed %d: op rejected: %v", seed, ev.Err)
+		}
+	}
+	if idle < 2 {
+		t.Fatalf("seed %d: engine idle only %d times; the campaign checked nothing mid-run", seed, idle)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCertificateSettledAtIdle(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		certCampaignAsync(t, seed, 48, 80, seed%2 == 0)
 	}
 }
 

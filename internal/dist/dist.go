@@ -576,11 +576,12 @@ func (s *Simulation) removeProcessor(v NodeID) {
 	// images owned by survivors) may still carry positive multiplicity;
 	// their delete edits arrive through the survivors' edit logs and
 	// drain later. The node leaves the graph now, so remove the
-	// remaining incident edges explicitly — keeping the connectivity
-	// certificate in lockstep with every graph mutation — and let the
-	// late drains find multiplicity hitting zero with the edge already
-	// gone (physDel tolerates that). Neighbors are collected first: the
-	// adjacency set must not be mutated mid-iteration.
+	// remaining incident edges explicitly — the connectivity
+	// certificate's settle is sound only if every incident edge of a
+	// removed node is recorded — and let the late drains find
+	// multiplicity hitting zero with the edge already gone (physDel
+	// tolerates that). Neighbors are collected first: the adjacency set
+	// must not be mutated mid-iteration.
 	s.nbrScratch = s.nbrScratch[:0]
 	s.phys.EachNeighbor(v, func(x NodeID) { s.nbrScratch = append(s.nbrScratch, x) })
 	for _, x := range s.nbrScratch {
@@ -695,11 +696,11 @@ func (s *Simulation) step() int {
 
 // run steps the network to quiescence in the current delivery mode,
 // then folds the processors' pending physical-graph edits into the
-// maintained network. The pulse bound mirrors simnet's historical
-// RunUntilQuiescent contract: on simnet one pulse is one round, and on
-// any transport a pulse delivers at least one pending message or
-// timer, so hitting the bound still means the protocol is broken,
-// never that it is slow.
+// maintained network and settles its connectivity certificate. The
+// pulse bound mirrors simnet's historical RunUntilQuiescent contract:
+// on simnet one pulse is one round, and on any transport a pulse
+// delivers at least one pending message or timer, so hitting the bound
+// still means the protocol is broken, never that it is slow.
 func (s *Simulation) run() error {
 	bound := s.roundBound()
 	var err error
@@ -714,5 +715,6 @@ func (s *Simulation) run() error {
 		pulses++
 	}
 	s.drainPhys()
+	s.physCC.Settle()
 	return err
 }

@@ -233,8 +233,12 @@ func (s *Simulation) Tick() bool {
 		// snapshots and verification see a settled state, exactly like
 		// the blocking path's post-quiescence drain. The settled state
 		// is also when the audit layer can vouch for the connectivity
-		// certificate (count equality only holds between repairs).
+		// certificate (count equality only holds between repairs), and
+		// when the certificate settles the edge removals it recorded:
+		// the repairs have re-linked the deleted nodes' neighbours, so
+		// its searches meet almost at once.
 		s.drainPhys()
+		s.physCC.Settle()
 		s.auditCertSweep()
 		return false
 	}
@@ -273,6 +277,7 @@ func (s *Simulation) Drain() error {
 		}
 	}
 	s.drainPhys()
+	s.physCC.Settle()
 	return nil
 }
 

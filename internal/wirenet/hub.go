@@ -145,7 +145,8 @@ type Hub struct {
 	edgeSeq     map[edgeKey]uint64              // next sequence to assign per edge
 	edgeDone    map[edgeKey]uint64              // highest delivered sequence per edge
 	hold        map[edgeKey]map[uint64]wmsg     // out-of-order arrivals awaiting their turn
-	outstanding map[edgeKey]map[uint64]outFrame // routed, not yet delivered
+	outstanding map[edgeKey]map[uint64]outFrame // routed, not yet delivered; no empty entries
+	spareOut    []map[uint64]outFrame           // drained inner maps, reused by send
 	inflight    int
 
 	stats                          transport.Stats
@@ -542,7 +543,12 @@ func (h *Hub) SendClass(from, to NodeID, payload any, words int, class transport
 	frame := appendWmsg([]byte{fkRoute}, m)
 	out := h.outstanding[e]
 	if out == nil {
-		out = make(map[uint64]outFrame)
+		if n := len(h.spareOut); n > 0 {
+			out = h.spareOut[n-1]
+			h.spareOut = h.spareOut[:n-1]
+		} else {
+			out = make(map[uint64]outFrame)
+		}
 		h.outstanding[e] = out
 	}
 	out[m.EdgeSeq] = outFrame{frame: frame, words: words}
@@ -749,8 +755,18 @@ func (h *Hub) accept(m wmsg) int {
 
 // deliver hands one in-order message to its handler: advance the
 // receiver's Lamport clock, decode the payload, book the stats, run.
+// An edge whose last outstanding frame this was leaves the outstanding
+// set (nothing is held for it either: held frames are outstanding), so
+// RemoveNode, PendingWords and Validate scan only edges with traffic
+// in flight; a late duplicate finds no entry and accept sheds it.
 func (h *Hub) deliver(e edgeKey, m wmsg) {
-	delete(h.outstanding[e], m.EdgeSeq)
+	out := h.outstanding[e]
+	delete(out, m.EdgeSeq)
+	if len(out) == 0 {
+		delete(h.outstanding, e)
+		delete(h.hold, e)
+		h.spareOut = append(h.spareOut, out)
+	}
 	h.edgeDone[e] = m.EdgeSeq
 	h.inflight--
 	hd, ok := h.handlers[m.To]

@@ -112,6 +112,49 @@ func TestHubPingPong(t *testing.T) {
 	}
 }
 
+// TestHubDrainedEdgesLeaveOutstanding pins the outstanding set's
+// bound: once every frame on an edge is delivered the edge has no
+// entry (RemoveNode, PendingWords and Validate scan the set), and a
+// late duplicate of a delivered frame is still shed, not re-delivered.
+func TestHubDrainedEdgesLeaveOutstanding(t *testing.T) {
+	h := newTestHub(t, 2)
+	got := 0
+	h.AddNode(1, func(transport.Endpoint, transport.Message) {})
+	h.AddNode(2, func(transport.Endpoint, transport.Message) { got++ })
+	for i := 1; i <= 10; i++ {
+		h.Send(1, 2, testPing{N: int64(i)}, 1)
+	}
+	if len(h.outstanding) != 1 {
+		t.Fatalf("outstanding has %d edges before the pulse, want 1", len(h.outstanding))
+	}
+	if d := h.Pulse().Delivered; d != 10 || got != 10 {
+		t.Fatalf("Pulse delivered %d (handler saw %d), want 10", d, got)
+	}
+	if len(h.outstanding) != 0 || len(h.hold) != 0 {
+		t.Fatalf("after the drain: %d outstanding edges, %d hold entries, want 0", len(h.outstanding), len(h.hold))
+	}
+	pb, err := encodePayload(nil, testPing{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := wmsg{From: 1, To: 2, EdgeSeq: 1, Class: transport.ClassData, Words: 1, Payload: pb}
+	if n := h.accept(dup); n != 0 || got != 10 {
+		t.Fatalf("late duplicate delivered (accept=%d, handler saw %d)", n, got)
+	}
+	// The edge keeps its sequence: the next send is number 11 and
+	// delivers normally through a recycled entry.
+	h.Send(1, 2, testPing{N: 11}, 1)
+	if d := h.Pulse().Delivered; d != 1 || got != 11 {
+		t.Fatalf("post-drain send delivered %d (handler saw %d), want 1", d, got)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.outstanding) != 0 {
+		t.Fatalf("%d outstanding edges after the second drain, want 0", len(h.outstanding))
+	}
+}
+
 // TestHubTimers checks channet's timer contract: timers fire only when
 // message-idle, earliest batch first, and the owner's clock lands at
 // least on the due tick.
