@@ -5,10 +5,11 @@
 // the tool for shaking out rare interleavings beyond what unit tests
 // sample.
 //
-// With -batch k > 1, deletions fire in bursts of up to k through the
-// batched-repair pipeline (dist.Simulation.DeleteBatch overlapping
-// independent repairs; core.Engine.DeleteBatch as the sequential
-// reference), with the burst shape picked by -batch-strategy.
+// With -batch k > 1, deletions fire in bursts of up to k, with the
+// burst shape picked by -batch-strategy. dist.Simulation.DeleteBatch
+// queues each burst in ascending order through the engine's region
+// admission, which overlaps independent repairs and serializes
+// colliding ones; core.Engine.DeleteBatch is the sequential reference.
 //
 // With -dist -bandwidth B, every network edge carries at most B
 // message-words per round (the congestion model): repairs heal to the

@@ -10,7 +10,7 @@ import (
 // shapes below span the spectrum the batched-repair pipeline has to
 // handle — fully independent regions (the throughput best case),
 // uniformly random ones, and deliberately colliding clusters (the
-// conflict detector's worst case).
+// worst case for region admission: maximal serialization).
 
 // BatchStrategy selects up to k live nodes to delete as one batch. It
 // returns fewer (possibly zero) when the network cannot supply k.

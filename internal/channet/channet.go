@@ -633,22 +633,6 @@ func (n *Network) PendingWords() int {
 	return words
 }
 
-// DropPending discards every queued message and armed timer without
-// delivering them, returning how many were dropped.
-func (n *Network) DropPending() int {
-	k := 0
-	for _, nd := range n.nodes {
-		k += len(nd.inbox)
-		nd.inbox = nil
-	}
-	n.inflight.Store(0)
-	n.timersMu.Lock()
-	k += len(n.timers)
-	n.timers = nil
-	n.timersMu.Unlock()
-	return k
-}
-
 // Dropped returns the number of network messages addressed to dead
 // processors (messages queued at removal plus later sends to the dead
 // node). Purged timers are not counted — they are not network traffic.

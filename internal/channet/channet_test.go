@@ -279,17 +279,3 @@ func TestNoBandwidthModel(t *testing.T) {
 	}()
 	n.SetBandwidth(8)
 }
-
-func TestDropPending(t *testing.T) {
-	n := New()
-	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {})
-	n.Send(2, 1, "a", 1)
-	n.Send(2, 1, "b", 1)
-	n.SendTimer(1, "t", 4)
-	if k := n.DropPending(); k != 3 {
-		t.Fatalf("dropped %d, want 3", k)
-	}
-	if n.Pending() != 0 || n.Step() != 0 {
-		t.Fatal("traffic survived DropPending")
-	}
-}

@@ -17,9 +17,9 @@
 //     stored parent dangling; the record clears it, and the true
 //     parent's next down-probe re-adopts the orphan.
 //   - Stale-state fingerprint: transient repair scratch (reps, parts,
-//     strip waiters, claim marks, Breakflags) that survives several
-//     passes bit-identically with zero protocol traffic in between
-//     belongs to no live repair and is cleared wholesale.
+//     strip waiters, Breakflags) that survives several passes
+//     bit-identically with zero protocol traffic in between belongs to
+//     no live repair and is cleared wholesale.
 //
 // Every structural write is guarded by a confirm-twice rule: the same
 // disagreement must be observed on two consecutive passes with the
@@ -96,8 +96,7 @@ type auditAgg struct {
 // a repair is about to rewrite would produce noise, not detection), and
 // only the stale-state fingerprint machinery runs.
 func (p *processor) auditBusy() bool {
-	return len(p.reps) != 0 || len(p.parts) != 0 || len(p.stripWait) != 0 ||
-		p.dying || p.claims != nil || p.claimEl != nil || p.batch != nil
+	return len(p.reps) != 0 || len(p.parts) != 0 || len(p.stripWait) != 0
 }
 
 func (p *processor) anyDamaged() bool {
@@ -137,14 +136,9 @@ func (p *processor) onAuditTick(n transport.Endpoint) {
 // repair's scratch changes (or at least its owner receives messages)
 // between passes; scratch that sits bit-identical through
 // auditStaleConfirm passes with the non-audit message counter frozen
-// belongs to no live repair — injected epochs, phantom claim marks,
-// orphaned Breakflags — and is cleared wholesale.
+// belongs to no live repair — injected epochs, orphaned Breakflags —
+// and is cleared wholesale.
 func (p *processor) auditStalePass() {
-	if p.dying {
-		// A batch member awaiting its wave legitimately sits silent for
-		// many periods; its state dies with it.
-		return
-	}
 	fp := p.transientFingerprint()
 	if fp == p.aStaleFP && p.aProtoSeen == p.aStaleMark {
 		p.aStaleRuns++
@@ -166,18 +160,6 @@ func (p *processor) auditStalePass() {
 	}
 	for a := range p.stripWait {
 		delete(p.stripWait, a)
-		cleared++
-	}
-	if p.claims != nil {
-		p.claims = nil
-		cleared++
-	}
-	if p.claimEl != nil {
-		p.claimEl = nil
-		cleared++
-	}
-	if p.batch != nil {
-		p.batch = nil
 		cleared++
 	}
 	for _, h := range p.helpers {
@@ -219,23 +201,6 @@ func (p *processor) transientFingerprint() uint64 {
 		addAddr(a)
 		w = append(w, int64(p.stripWait[a].waiting))
 	}
-	if p.claims == nil {
-		w = append(w, -1)
-	} else {
-		w = append(w, int64(len(p.claims)))
-		for _, a := range sortedAddrKeys(p.claims) {
-			addAddr(a)
-			w = append(w, int64(p.claims[a]))
-		}
-	}
-	flags := int64(0)
-	if p.claimEl != nil {
-		flags |= 1
-	}
-	if p.batch != nil {
-		flags |= 2
-	}
-	w = append(w, flags)
 	for _, o := range sortedRecordKeys(p.helpers) {
 		if h := p.helpers[o]; h.damaged {
 			w = append(w, int64(o), int64(h.depoch))
@@ -623,18 +588,6 @@ func (s *Simulation) armAuditTick(v NodeID) {
 		d = s.auditCfg.Period
 	}
 	s.net.SendTimer(v, msgAuditTick{}, d)
-}
-
-// reArmAuditTicks restores every live processor's standing tick after a
-// path that dropped pending timers wholesale (the batch claim phase's
-// early abort).
-func (s *Simulation) reArmAuditTicks() {
-	if !s.auditOn {
-		return
-	}
-	for _, v := range s.LiveNodes() {
-		s.armAuditTick(v)
-	}
 }
 
 // netQuiet is the audited network's notion of quiescence. With the

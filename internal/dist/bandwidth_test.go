@@ -216,102 +216,6 @@ func TestBandwidthSequentialVsParallelDelivery(t *testing.T) {
 	}
 }
 
-// TestClaimAbortSavesMessages: a batch that is one conflict group by
-// adjacency alone (the star hub plus two of its rays) must skip its
-// claim traffic entirely when the early abort is on, and still heal to
-// exactly the sequential reference.
-func TestClaimAbortSavesMessages(t *testing.T) {
-	run := func(abort bool) (*Simulation, BatchStats) {
-		s := NewSimulation(graph.Star(16))
-		s.SetParallel(true)
-		s.SetClaimAbort(abort)
-		if err := s.DeleteBatch([]NodeID{0, 1, 2}); err != nil {
-			t.Fatal(err)
-		}
-		return s, s.LastBatch()
-	}
-	sOn, on := run(true)
-	sOff, off := run(false)
-
-	if !on.ClaimAborted {
-		t.Error("hub+rays batch did not abort its claim phase")
-	}
-	if off.ClaimAborted {
-		t.Error("abort reported with the early abort disabled")
-	}
-	if on.ClaimMessages != 0 {
-		t.Errorf("aborted claim phase still delivered %d messages, want 0 (direct conflicts decide before any traffic)",
-			on.ClaimMessages)
-	}
-	if off.ClaimMessages == 0 {
-		t.Error("full claim phase delivered no messages: the savings baseline is vacuous")
-	}
-	if on.Messages >= off.Messages {
-		t.Errorf("early abort saved nothing: %d messages with abort vs %d without", on.Messages, off.Messages)
-	}
-	if on.Groups != 1 || on.Waves != 3 {
-		t.Errorf("aborted batch ran %d groups / %d waves, want 1 / 3 (fully sequential)", on.Groups, on.Waves)
-	}
-	e := core.NewEngine(graph.Star(16))
-	if err := e.DeleteBatch([]NodeID{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]*Simulation{"abort-on": sOn, "abort-off": sOff} {
-		if !s.Physical().Equal(e.Physical()) {
-			t.Errorf("%s: healed graph diverges from the sequential reference", name)
-		}
-		if err := s.Verify(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-// TestClaimAbortMidFlight exercises the in-flight abort: a colliding
-// cluster whose members are connected only through shared records (not
-// direct adjacency) needs the claim walks to discover the single
-// group, and the abort must then drop the still-undelivered remainder.
-func TestClaimAbortMidFlight(t *testing.T) {
-	// Churn a powerlaw network so deep Reconstruction Trees exist, then
-	// delete a BFS cluster around a hub.
-	build := func(abort bool) (*Simulation, BatchStats) {
-		g0 := graph.PreferentialAttachment(48, 3, rand.New(rand.NewSource(5)))
-		s := NewSimulation(g0)
-		s.SetParallel(true)
-		s.SetClaimAbort(abort)
-		rng := rand.New(rand.NewSource(6))
-		for i := 0; i < 12; i++ {
-			live := s.LiveNodes()
-			if err := s.Delete(live[rng.Intn(len(live))]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		live := s.LiveNodes()
-		phys := s.Physical()
-		hub, hubDeg := live[0], -1
-		for _, u := range live {
-			if d := phys.Degree(u); d > hubDeg {
-				hub, hubDeg = u, d
-			}
-		}
-		batch := collidingBatch(s, hub, live, 5)
-		if err := s.DeleteBatch(batch); err != nil {
-			t.Fatalf("batch %v: %v", batch, err)
-		}
-		return s, s.LastBatch()
-	}
-	sOn, on := build(true)
-	sOff, off := build(false)
-	if on.Messages > off.Messages {
-		t.Errorf("abort-on spent more messages than abort-off: %d vs %d", on.Messages, off.Messages)
-	}
-	if !sOn.Physical().Equal(sOff.Physical()) {
-		t.Fatal("healed graphs diverge between abort modes")
-	}
-	if err := sOn.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPerEdgePacingSlowLink is the per-edge outbox budget claim: with
 // a generous global cap but one narrow link out of the leader, the
 // pacing must trickle that link at ITS budget — the slow edge collects

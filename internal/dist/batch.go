@@ -8,60 +8,43 @@ import (
 // Batched concurrent deletions.
 //
 // The paper repairs one deletion at a time; under churn they arrive in
-// bursts. DeleteBatch overlaps the repairs of *independent* damaged
-// regions — vertex-disjoint sets of records — so that k disjoint
-// deletions heal in roughly the rounds of one, while repairs whose
-// regions collide serialize exactly as the sequential semantics
-// demand. The reference semantics is core.Engine.DeleteBatch: apply
-// the deletions one at a time in canonical (ascending-ID) order. The
-// differential tests assert the two produce identical healed graphs.
+// bursts. The reference semantics of a burst is core.Engine.DeleteBatch:
+// apply the deletions one at a time in canonical (ascending-ID) order.
+// DeleteBatch hands the burst to the open-loop engine's region
+// admission in exactly that order, as if each member had been
+// submitted on its own, and drains the engine. Admission launches a
+// member the moment its footprint (deleteRegion) is disjoint from every
+// in-flight repair and every earlier member still waiting, so repairs
+// of independent damaged regions overlap — k disjoint deletions heal in
+// roughly the rounds of one — while colliding members serialize behind
+// the older one, handed off leader-to-leader, exactly as the canonical
+// order demands. The differential tests assert the healed graphs match
+// the reference.
 //
-// The batch runs in two stages:
-//
-//  1. Claim phase (read-only). Every member's would-be damage walk runs
-//     in claim mode: the records the repair would cut, damage, or walk
-//     through are claimed for the member's epoch, mutating nothing.
-//     Two walks colliding on a shared record, or a walk ascending into
-//     another member's dying avatar, report a conflict pair to the
-//     batch coordinator in-band. Links *between* two members (a shared
-//     G′ edge or a tree link between their avatars) are conflicts
-//     detected at notification time, since each member's neighbors
-//     know both ends died.
-//  2. Wave execution. Conflict pairs partition the batch into groups
-//     (connected components); members of distinct groups have disjoint
-//     regions, and a group's own repairs keep its region closed — a
-//     merge only rewires the group's fragments — so groups stay
-//     disjoint for the batch's whole lifetime. Each group's members
-//     execute in ascending order — the younger repair of every
-//     conflicting pair serialized behind the older exactly as the
-//     canonical order requires — but the groups PIPELINE through the
-//     open-loop engine: the moment a group's current repair proves
-//     itself complete in-band (the last merge-instruction ack), its
-//     leader hands off to the group's next member by sending that
-//     deletion's death notifications itself, one per notified member,
-//     while other groups' repairs are still running. There is no
-//     driver barrier between waves anymore; the serialization depth
-//     (the largest group) is still reported as Waves.
+// Groups, Waves and Conflicts describe the batch's footprints at the
+// call: two members conflict when their footprints overlap. Footprints
+// are processor-granular, so two members sharing a physical neighbour
+// serialize even when their repairs would touch disjoint records.
 
 // BatchStats reports the measured cost of one DeleteBatch call.
 type BatchStats struct {
-	// Batch is the number of deletions; Groups the number of
-	// independent conflict groups they formed; Waves the serialization
-	// depth (the largest group); Conflicts the conflict pairs found.
+	// Batch is the number of deletions; Conflicts the number of member
+	// pairs whose footprints overlap at the call; Groups the connected
+	// components of that overlap relation; Waves its longest ascending
+	// chain of overlapping members. Admission can serialize deeper than
+	// Waves, because earlier repairs may grow later members' footprints.
 	Batch     int
 	Groups    int
 	Waves     int
 	Conflicts int
-	// ClaimMessages and ClaimRounds are the share of the totals spent
-	// on the claim phase. ClaimAborted reports that conflict discovery
-	// stopped early: the batch was proven to be one conflict group, so
-	// the remaining claim traffic was dropped undelivered and the batch
-	// fell back to fully sequential waves.
+	// Deprecated: always zero. It counted the messages of the in-band
+	// claim phase that region admission replaced; admission decides
+	// driver-side and sends none.
 	ClaimMessages int
-	ClaimRounds   int
-	ClaimAborted  bool
+	// Deprecated: always zero, like ClaimMessages.
+	ClaimRounds int
 	// Messages, Rounds, TotalWords, MaxWords and MaxSentByNode cover
-	// the whole batch, claim phase included.
+	// the whole batch.
 	Messages      int
 	Rounds        int
 	TotalWords    int
@@ -89,7 +72,10 @@ func (s *Simulation) LastBatch() BatchStats { return s.lastBatch }
 // overlapping the repairs of independent regions. It is behaviorally
 // equivalent to deleting the nodes one at a time in ascending order; a
 // batch of one is exactly Delete. Validation is atomic: either the
-// whole batch is applied or no node is touched.
+// whole batch is applied or no node is touched. Every member reports
+// one EventRepairDone with Seq 0 and the call one EventBatchDone;
+// members take no Submit sequence number and are never held or merged
+// by the coalescing queue.
 func (s *Simulation) DeleteBatch(vs []NodeID) error {
 	if err := s.requireIdle("delete batch"); err != nil {
 		return err
@@ -99,6 +85,7 @@ func (s *Simulation) DeleteBatch(vs []NodeID) error {
 		return err
 	}
 	defer s.beginBlocking()()
+	bs := BatchStats{Batch: len(batch), Groups: 1, Waves: 1}
 	switch len(batch) {
 	case 0:
 		s.lastBatch = BatchStats{}
@@ -107,84 +94,27 @@ func (s *Simulation) DeleteBatch(vs []NodeID) error {
 		if err := s.Delete(batch[0]); err != nil {
 			return err
 		}
-		rs := s.last
-		s.lastBatch = BatchStats{
-			Batch: 1, Groups: 1, Waves: 1,
-			Messages: rs.Messages, Rounds: rs.Rounds,
-			TotalWords: rs.TotalWords, MaxWords: rs.MaxWords,
-			MaxSentByNode:    rs.MaxSentByNode,
-			QueuedWords:      rs.QueuedWords,
-			MaxEdgeBacklog:   rs.MaxEdgeBacklog,
-			CongestionRounds: rs.CongestionRounds,
-			ElectionRounds:   rs.ElectionRounds,
-			SyncRounds:       rs.SyncRounds,
-			ElectionMessages: rs.ElectionMessages,
-			SyncMessages:     rs.SyncMessages,
+	default:
+		s.net.ResetStats()
+		bs.Groups, bs.Waves, bs.Conflicts = s.batchShape(batch)
+		for _, v := range batch {
+			s.pending = append(s.pending, &pendingOp{
+				op: Op{Kind: OpDelete, V: v}, submitRound: s.net.Round(), after: noNode,
+			})
 		}
-		s.emit(Event{Kind: EventBatchDone, Batch: s.lastBatch})
-		return nil
-	}
-
-	s.net.ResetStats()
-	conflicts, claimAborted, err := s.claimPhase(batch)
-	if err != nil {
-		return fmt.Errorf("dist: delete batch: claim phase: %w", err)
-	}
-	claimStats := s.net.Stats()
-
-	groups := groupBatch(batch, conflicts)
-	waves := 0
-	for _, g := range groups {
-		if len(g) > waves {
-			waves = len(g)
+		s.admit()
+		if err := s.Drain(); err != nil {
+			return fmt.Errorf("dist: delete batch: %w", err)
 		}
 	}
-	// Execute through the open-loop engine: each group becomes a chain
-	// of deletions, every member waiting on the in-band completion of
-	// its predecessor and launched by that repair's finishing leader
-	// (leader-to-leader handoff). Chains of different groups pipeline
-	// independently — no driver barrier between waves.
-	submitRound := s.net.Round()
-	for _, g := range groups {
-		for i, v := range g {
-			po := &pendingOp{
-				op: Op{Kind: OpDelete, V: v}, submitRound: submitRound,
-				chain: true, after: noNode,
-			}
-			if i > 0 {
-				po.after = g[i-1]
-			}
-			s.pending = append(s.pending, po)
-		}
-	}
-	s.admit()
-	if err := s.Drain(); err != nil {
-		return fmt.Errorf("dist: delete batch: %w", err)
-	}
-
 	st := s.net.Stats()
-	s.lastBatch = BatchStats{
-		Batch:            len(batch),
-		Groups:           len(groups),
-		Waves:            waves,
-		Conflicts:        len(conflicts),
-		ClaimMessages:    claimStats.Messages,
-		ClaimRounds:      claimStats.Rounds,
-		ClaimAborted:     claimAborted,
-		Messages:         st.Messages,
-		Rounds:           st.Rounds,
-		TotalWords:       st.TotalWords,
-		MaxWords:         st.MaxWords,
-		MaxSentByNode:    st.MaxSentByNode,
-		QueuedWords:      st.QueuedWords,
-		MaxEdgeBacklog:   st.MaxEdgeBacklog,
-		CongestionRounds: st.CongestionRounds,
-		ElectionRounds:   st.ElectionRounds,
-		SyncRounds:       st.SyncRounds,
-		ElectionMessages: st.ElectionMessages,
-		SyncMessages:     st.SyncMessages,
-	}
-	s.emit(Event{Kind: EventBatchDone, Batch: s.lastBatch})
+	bs.Messages, bs.Rounds = st.Messages, st.Rounds
+	bs.TotalWords, bs.MaxWords, bs.MaxSentByNode = st.TotalWords, st.MaxWords, st.MaxSentByNode
+	bs.QueuedWords, bs.MaxEdgeBacklog, bs.CongestionRounds = st.QueuedWords, st.MaxEdgeBacklog, st.CongestionRounds
+	bs.ElectionRounds, bs.SyncRounds = st.ElectionRounds, st.SyncRounds
+	bs.ElectionMessages, bs.SyncMessages = st.ElectionMessages, st.SyncMessages
+	s.lastBatch = bs
+	s.emit(Event{Kind: EventBatchDone, Batch: bs})
 	return nil
 }
 
@@ -204,196 +134,36 @@ func (s *Simulation) validateBatch(vs []NodeID) ([]NodeID, error) {
 	return batch, nil
 }
 
-// claimPhase runs the read-only conflict discovery: mark every member
-// dying, notify every affected processor, let the notified set elect
-// the batch coordinator by knockout tournament, launch every member's
-// claim walks, and collect the conflict pairs the collisions report.
-// The claim marks and election state are transient; the batch
-// synchronizer clears them (and the coordinator scratch) before
-// execution begins — the paper's zero-word timer convention.
-//
-// The coordinator is NOT announced by the driver: the affected
-// processors — dying members included — elect the smallest ID among
-// themselves over a will-laid BT (msgClaimElect/Champ/Coord), and
-// claim processing is buffered until the winner is known. Dying
-// members answer their notifications with direct conflict reports, so
-// every conflict pair reaches the coordinator in-band; its union-find
-// over the K members computes the early-abort decision — the batch has
-// become one conflict group, every remaining claim message is moot —
-// which the synchronizer only enacts (dropping the undelivered
-// traffic) when the coordinator flags it. On a pathological burst
-// whose members are pairwise adjacent the driver-visible adjacency
-// alone decides this before a single claim message is sent.
-func (s *Simulation) claimPhase(batch []NodeID) (conflicts map[[2]NodeID]struct{}, aborted bool, err error) {
-	inBatch := make(map[NodeID]struct{}, len(batch))
-	for _, v := range batch {
-		inBatch[v] = struct{}{}
-		s.procs[v].dying = true
-	}
-
-	// The union of every member's physical neighborhood — the claim
-	// phase's notified set — with, per target, the members it must
-	// probe for (ascending, since batch is sorted).
-	affected := make(map[NodeID][]NodeID)
-	for _, v := range batch {
-		for x := range s.affectedBy(v) {
-			affected[x] = append(affected[x], v)
+// batchShape measures how the members' footprints overlap at the call,
+// in one pass over the ascending batch: the number of overlapping
+// pairs, the connected components of the overlap relation (union-find),
+// and its longest ascending chain.
+func (s *Simulation) batchShape(batch []NodeID) (groups, waves, conflicts int) {
+	regions := make([]map[NodeID]struct{}, len(batch))
+	depth := make([]int, len(batch))
+	root := make([]int, len(batch))
+	find := func(i int) int {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
 		}
+		return i
 	}
-	union := make([]NodeID, 0, len(affected))
-	for x := range affected {
-		union = append(union, x)
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-
-	defer func() {
-		for _, v := range batch {
-			if p, ok := s.procs[v]; ok {
-				p.dying = false
+	groups = len(batch)
+	for i, v := range batch {
+		regions[i], depth[i], root[i] = s.deleteRegion(v), 1, i
+		for j := 0; j < i; j++ {
+			if !overlap(regions[i], regions[j]) {
+				continue
+			}
+			conflicts++
+			depth[i] = max(depth[i], depth[j]+1)
+			if a, b := find(i), find(j); a != b {
+				root[a] = b
+				groups--
 			}
 		}
-		for _, p := range s.claimers.take() {
-			p.claims = nil
-		}
-		for _, x := range union {
-			if p, ok := s.procs[x]; ok {
-				p.claimEl = nil
-			}
-		}
-	}()
-
-	conflicts = make(map[[2]NodeID]struct{})
-	addConflict := func(a, b NodeID) {
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		conflicts[[2]NodeID{a, b}] = struct{}{}
+		waves = max(waves, depth[i])
 	}
-	// Direct member-member conflicts are adjacency, known the moment
-	// the notifications are drawn up (each member's neighbors know both
-	// ends died); the driver uses them for the no-traffic fast path,
-	// and the dying members re-derive them in-band for the coordinator.
-	for x, vs := range affected {
-		if _, member := inBatch[x]; member {
-			for _, v := range vs {
-				addConflict(x, v)
-			}
-		}
-	}
-	oneGroup := func() bool { return len(groupBatch(batch, conflicts)) == 1 }
-	if s.claimAbort && oneGroup() {
-		// Adjacency alone already chains the whole batch together; skip
-		// the claim traffic entirely.
-		return conflicts, true, nil
-	}
-	if len(union) == 0 {
-		// Every member is isolated: nothing to probe, no conflicts
-		// beyond the direct ones (of which there are none).
-		return conflicts, false, nil
-	}
-
-	// Lay the election BT over the notified set in descending ID order
-	// (the same will convention as BT_v) and deliver, per target, its
-	// tree slot plus one claim notification per probing member. The
-	// tournament winner — the smallest notified ID — becomes the
-	// coordinator; the driver knows who that will be (it laid the
-	// tree), which is where it later reads the conflicts back.
-	coord := union[0]
-	s.layBT(union, func(x, parent, left, right NodeID) {
-		s.net.Send(x, x, msgClaimElect{
-			BTParent: parent, BTLeft: left, BTRight: right, K: len(batch),
-		}, wordsClaimElect)
-		for _, v := range affected[x] {
-			s.net.Send(x, x, msgClaimDeath{V: v}, wordsClaimDeath)
-		}
-	})
-	if !s.claimAbort {
-		if err := s.run(); err != nil {
-			return nil, false, err
-		}
-		s.foldCoordConflicts(coord, addConflict)
-		return conflicts, false, nil
-	}
-
-	// Step manually so the synchronizer can enact the coordinator's
-	// abort between rounds. The decision itself is computed in-band:
-	// the coordinator's union-find flags `decided` the moment the
-	// reported pairs union all K members. Parallel delivery is
-	// round-identical to sequential, so the abort round — and with it
-	// the batch's stats — is the same in both modes.
-	bound := s.roundBound()
-	for rounds := 0; !s.netQuiet(); rounds++ {
-		if rounds >= bound {
-			return nil, false, fmt.Errorf("claim discovery not quiescent after %d rounds", bound)
-		}
-		s.step()
-		if cp := s.procs[coord]; cp.batch != nil && cp.batch.decided {
-			// The abort drops the audit layer's standing ticks along with
-			// the moot claim traffic; re-arm them or netQuiet drifts.
-			s.net.DropPending()
-			s.reArmAuditTicks()
-			aborted = true
-			break
-		}
-	}
-	s.foldCoordConflicts(coord, addConflict)
-	s.drainPhys() // claim walks log no edits; drained for symmetry with run
-	return conflicts, aborted, nil
-}
-
-// foldCoordConflicts merges the batch coordinator's accumulated
-// conflict reports into the synchronizer's set and clears the scratch
-// so nothing leaks into a later batch's discovery.
-func (s *Simulation) foldCoordConflicts(coord NodeID, addConflict func(a, b NodeID)) {
-	if cp := s.procs[coord]; cp.batch != nil {
-		for pair := range cp.batch.conflicts {
-			addConflict(pair[0], pair[1])
-		}
-		cp.batch = nil
-	}
-}
-
-// groupBatch partitions the batch into conflict groups (connected
-// components of the conflict pairs), each group sorted ascending —
-// the canonical serialization order — and the groups ordered by their
-// smallest member.
-func groupBatch(batch []NodeID, conflicts map[[2]NodeID]struct{}) [][]NodeID {
-	parent := make(map[NodeID]NodeID, len(batch))
-	for _, v := range batch {
-		parent[v] = v
-	}
-	var find func(v NodeID) NodeID
-	find = func(v NodeID) NodeID {
-		if parent[v] != v {
-			parent[v] = find(parent[v])
-		}
-		return parent[v]
-	}
-	for pair := range conflicts {
-		a, b := find(pair[0]), find(pair[1])
-		if a != b {
-			if a > b {
-				a, b = b, a
-			}
-			parent[b] = a
-		}
-	}
-	members := make(map[NodeID][]NodeID)
-	for _, v := range batch { // batch is sorted, so groups come out sorted
-		r := find(v)
-		members[r] = append(members[r], v)
-	}
-	roots := make([]NodeID, 0, len(members))
-	for r := range members {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	groups := make([][]NodeID, 0, len(roots))
-	for _, r := range roots {
-		groups = append(groups, members[r])
-	}
-	return groups
+	return groups, waves, conflicts
 }

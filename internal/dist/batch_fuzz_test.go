@@ -7,13 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzBatchSchedule aims adversarial deletion batches at the region-
-// conflict detector: byte-driven batches that deliberately pick
-// clusters of adjacent nodes (and nodes simulating each other's
-// helpers) so their damage walks collide on shared records. Whatever
-// the collision pattern, the batch must neither deadlock (the
-// quiescence bound errors out), double-strip (the epoch guard on the
-// Breakflag panics), nor diverge from the sequential reference.
+// FuzzBatchSchedule aims adversarial deletion batches at region
+// admission: byte-driven batches that deliberately pick clusters of
+// adjacent nodes (and nodes simulating each other's helpers) so their
+// repair footprints overlap and their damage walks would collide on
+// shared records. Whatever the collision pattern, admission must
+// serialize every overlapping pair: the batch must neither deadlock
+// (the drain's stall bound errors out), double-strip (the epoch guard
+// on the Breakflag panics), nor diverge from the sequential reference.
 //
 // Byte encoding: each op byte either inserts (high bit set, neighbors
 // from the low bits) or seeds a deletion batch; a batch consumes the

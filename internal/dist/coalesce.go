@@ -28,7 +28,7 @@ package dist
 //
 //   - Merging. A submitted delete whose footprint overlaps a pending
 //     delete's footprint is chained behind it (the same driver-side
-//     region machinery that serializes conflicting batch waves), and
+//     region machinery that serializes every conflicting deletion), and
 //     when the predecessor's repair completes, the finishing leader
 //     hands off directly AND the death notification pre-appoints the
 //     repair leader — the tournament winner is always the smallest
@@ -157,9 +157,6 @@ func (s *Simulation) tryCancel(op Op, seq int) bool {
 	var ins *pendingOp
 	insAt := -1
 	for i, po := range s.pending {
-		if po.chain {
-			return false
-		}
 		if po.op.V == v {
 			if po.op.Kind != OpInsert || ins != nil {
 				return false
@@ -218,7 +215,7 @@ func (s *Simulation) tryMerge(op Op, seq int) bool {
 		return false // rejection or a pending create: the normal path decides
 	}
 	for _, po := range s.pending {
-		if po.chain || po.op.V == v {
+		if po.op.V == v {
 			return false
 		}
 	}

@@ -51,9 +51,6 @@ const (
 	// CorruptStaleEpoch plants leader or participant scratch for a
 	// long-finished epoch, as if a repair's teardown had been lost.
 	CorruptStaleEpoch
-	// CorruptClaimMark plants a phantom batch-claim mark on one of a
-	// processor's records, outside any live claim phase.
-	CorruptClaimMark
 	// CorruptFootprint plants a phantom in-flight repair footprint in
 	// the open-loop engine: an epoch no processor has ever heard of,
 	// which can therefore never complete in-band.
@@ -74,8 +71,8 @@ const (
 var CorruptModes = []CorruptMode{
 	CorruptLeafCount, CorruptHeight, CorruptRep,
 	CorruptDroppedParent, CorruptDanglingParent, CorruptChildPtr,
-	CorruptDamageFlag, CorruptStaleEpoch, CorruptClaimMark,
-	CorruptFootprint, CorruptClock, CorruptCertificate,
+	CorruptDamageFlag, CorruptStaleEpoch, CorruptFootprint,
+	CorruptClock, CorruptCertificate,
 }
 
 func (m CorruptMode) String() string {
@@ -96,8 +93,6 @@ func (m CorruptMode) String() string {
 		return "damage-flag"
 	case CorruptStaleEpoch:
 		return "stale-epoch"
-	case CorruptClaimMark:
-		return "claim-mark"
 	case CorruptFootprint:
 		return "footprint"
 	case CorruptClock:
@@ -214,23 +209,6 @@ func (s *Simulation) Corrupt(mode CorruptMode, rng *rand.Rand) (CorruptReport, b
 			}
 			rep.Detail = fmt.Sprintf("stale participant scratch, epoch %d", e)
 		}
-		return rep, true
-
-	case CorruptClaimMark:
-		p, ok := s.corruptPickProc(rng, func(p *processor) bool {
-			return len(p.leaves)+len(p.helpers) > 0
-		})
-		if !ok {
-			return rep, false
-		}
-		a := s.corruptAnyRecord(p, rng)
-		e, ok := s.corruptDeadEpoch(rng)
-		if !ok {
-			e = noNode
-		}
-		p.claims = map[addr]NodeID{a: e}
-		rep.Victim, rep.Record = p.id, a
-		rep.Detail = fmt.Sprintf("phantom claim mark, epoch %d", e)
 		return rep, true
 
 	case CorruptFootprint:
@@ -416,19 +394,6 @@ func (s *Simulation) corruptPickParented(rng *rand.Rand) (*processor, addr, *add
 	}
 	c := cands[rng.Intn(len(cands))]
 	return c.p, c.a, c.parent, true
-}
-
-// corruptAnyRecord returns one of p's record addresses, canonical
-// order, rng-chosen. Caller guarantees p has records.
-func (s *Simulation) corruptAnyRecord(p *processor, rng *rand.Rand) addr {
-	var all []addr
-	for _, o := range sortedRecordKeys(p.leaves) {
-		all = append(all, leafAddr(p.id, o))
-	}
-	for _, o := range sortedRecordKeys(p.helpers) {
-		all = append(all, helperAddr(p.id, o))
-	}
-	return all[rng.Intn(len(all))]
 }
 
 // corruptDeadEpoch picks the ID of a long-deleted processor: an epoch

@@ -292,9 +292,9 @@ func corruptWithChurn(t *testing.T, s *Simulation, mode CorruptMode, crng, rng *
 // injection mode must be detected by the central checkers — the full
 // Verify, and VerifyDelta once the victim is in the touched set. This
 // is the ground truth the audit's distributed detection mirrors, and
-// it covers the engine-state modes (claim marks, pending-op
-// footprints, Lamport clocks) the older record-corruption table in
-// verify_delta_test does not reach.
+// it covers the engine-state modes (pending-op footprints, Lamport
+// clocks) the older record-corruption table in verify_delta_test does
+// not reach.
 func TestCorruptionCaughtWithoutAudit(t *testing.T) {
 	for _, mode := range CorruptModes {
 		mode := mode
@@ -357,6 +357,10 @@ func FuzzStateCorruption(f *testing.F) {
 	for i := range CorruptModes {
 		f.Add([]byte{1, 7, 1, 11, 2, 3, 3, byte(i), 1, 5, 0, 9})
 	}
+	// Mixed churn between injections from all three layers: a record
+	// field, an engine footprint and the connectivity certificate.
+	f.Add([]byte{0, 1, 0, 2, 1, 4, 3, 0, 2, 9, 3, 8, 0, 6, 3, 10})
+	// Every mode back to back.
 	f.Add([]byte{3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3, 8, 3, 9, 3, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {

@@ -60,12 +60,11 @@
 // (Delete = Submit + Drain) preserving the original semantics and
 // stats.
 //
-// Deletions arriving in bursts run through DeleteBatch, which overlaps
-// the repairs of independent damaged regions: every message carries its
-// repair's epoch, a read-only claim phase — its coordinator elected
-// in-band by the same knockout tournament — detects colliding regions,
-// and only conflicting repairs serialize (see batch.go). A batch of
-// one is exactly Delete.
+// Deletions arriving in bursts run through DeleteBatch, which queues
+// the batch in ascending order through the same region admission and
+// drains the engine: every message carries its repair's epoch, repairs
+// of independent damaged regions overlap, and only colliding ones
+// serialize (see batch.go). A batch of one is exactly Delete.
 package dist
 
 import (
@@ -138,10 +137,6 @@ type Simulation struct {
 	physMult map[graph.Edge]int
 	dirty    *dirtyList
 
-	// claimers tracks processors holding transient claim marks during a
-	// batch's conflict-discovery phase (see batch.go).
-	claimers *dirtyList
-
 	// touchers tracks processors whose records changed since the last
 	// verification, feeding the incremental VerifyDelta.
 	touchers *dirtyList
@@ -150,12 +145,10 @@ type Simulation struct {
 	// minCap is the smallest positive cap ever configured on any layer
 	// (global, per-edge, per-node), sizing the quiescence bound's
 	// congestion slack; spread paces the leader's instruction bursts
-	// under a finite cap; claimAbort lets a batch's claim phase stop
-	// early once the whole batch is known to be one conflict group.
-	bandwidth  int
-	minCap     int
-	spread     bool
-	claimAbort bool
+	// under a finite cap.
+	bandwidth int
+	minCap    int
+	spread    bool
 
 	parallel  bool
 	last      RecoveryStats
@@ -253,12 +246,10 @@ func NewSimulationOn(g0 *graph.Graph, net transport.Transport) *Simulation {
 		procs:  make(map[NodeID]*processor, g0.NumNodes()),
 	}
 	s.initPhys(g0)
-	s.claimers = &dirtyList{}
 	s.touchers = &dirtyList{}
 	s.done = &doneList{}
 	s.inflight = make(map[NodeID]*flight)
 	s.spread = true
-	s.claimAbort = true
 	s.boundDirty = true
 	for _, v := range g0.Nodes() {
 		s.addProcessor(v)
@@ -307,7 +298,6 @@ func netAs[T any](d transport.Driver) (T, bool) {
 func (s *Simulation) addProcessor(v NodeID) {
 	p := newProcessor(v)
 	p.dirty = s.dirty
-	p.claimers = s.claimers
 	p.touchers = s.touchers
 	p.done = s.done
 	p.spread = s.spread
@@ -395,13 +385,6 @@ func (s *Simulation) SetSpread(on bool) {
 		p.spread = on
 	}
 }
-
-// SetClaimAbort toggles the batched-deletion claim phase's early
-// abort (default on): once conflict discovery proves the whole batch
-// is one conflict group, the remaining claim traffic is moot — the
-// batch falls back to fully sequential waves either way — so the
-// synchronizer drops it instead of delivering it.
-func (s *Simulation) SetClaimAbort(on bool) { s.claimAbort = on }
 
 // Alive reports whether processor v is currently in the network.
 func (s *Simulation) Alive(v NodeID) bool {
@@ -692,29 +675,4 @@ func (s *Simulation) step() int {
 		}
 	}
 	return s.net.Pulse().Delivered
-}
-
-// run steps the network to quiescence in the current delivery mode,
-// then folds the processors' pending physical-graph edits into the
-// maintained network and settles its connectivity certificate. The
-// pulse bound mirrors simnet's historical RunUntilQuiescent contract:
-// on simnet one pulse is one round, and on any transport a pulse
-// delivers at least one pending message or timer, so hitting the bound
-// still means the protocol is broken, never that it is slow.
-func (s *Simulation) run() error {
-	bound := s.roundBound()
-	var err error
-	pulses := 0
-	for !s.netQuiet() {
-		if pulses >= bound {
-			err = fmt.Errorf("dist: not quiescent after %d pulses (%d pending)",
-				pulses, s.net.Pending())
-			break
-		}
-		s.step()
-		pulses++
-	}
-	s.drainPhys()
-	s.physCC.Settle()
-	return err
 }

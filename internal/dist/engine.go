@@ -34,13 +34,13 @@ import (
 // footprint is the new node and its attachment points. The engine
 // admits a pending operation the moment its region is disjoint from
 // every in-flight repair AND from every earlier-submitted operation
-// still waiting — the incremental claim admission: region disjointness
-// is exactly what the batch claim phase discovers by message, checked
-// here against live epochs by the scheduler (an admission decision,
-// i.e. the adversary's move order; the repair protocol itself remains
-// fully in-band). Inserts landing in a damaged region are therefore
-// deferred until the region's repair completes and are released by its
-// leader's completion signal.
+// still waiting — region admission, checked against live epochs by the
+// scheduler (an admission decision, i.e. the adversary's move order;
+// the repair protocol itself remains fully in-band). DeleteBatch runs
+// through the same admission, its members queued in ascending order.
+// Inserts landing in a damaged region are therefore deferred until the
+// region's repair completes and are released by its leader's
+// completion signal.
 //
 // Repair completion is detected in-band: every merge-plan instruction
 // is acked back to the leader (msgMergeAck), whose count reaching zero
@@ -111,7 +111,8 @@ type Event struct {
 	// arrival order differs — an op rejected at submission (target
 	// already dead) reports immediately, jumping ahead of an
 	// earlier-submitted repair still in flight. Events not tied to a
-	// submitted op (EventBatchDone from a blocking batch) carry 0.
+	// submitted op carry 0: the repairs of blocking Delete and
+	// DeleteBatch members, and EventBatchDone.
 	Seq int
 	// V is the node the event is about (the deleted or inserted node).
 	V NodeID
@@ -134,12 +135,6 @@ type pendingOp struct {
 	op          Op
 	seq         int // submission sequence number (Event.Seq)
 	submitRound int
-	// chain marks a DeleteBatch wave member whose serialization was
-	// already decided by the in-band claim phase: it waits for the
-	// specific epoch in after (noNode once released) instead of the
-	// region checks.
-	chain bool
-	after NodeID
 	// region is the footprint computed at the last admission attempt;
 	// blockers the in-flight epochs that overlapped it (for handoff
 	// attribution).
@@ -152,11 +147,12 @@ type pendingOp struct {
 	// hold is the coalescing window: the number of engine Ticks this op
 	// must stay pending (and coalescible) before it may launch. merged
 	// marks a delete chained behind an overlapping pending delete by the
-	// coalescing queue; it waits on after like a chain op but re-enters
-	// the normal admission path on release, and its launch pre-appoints
-	// the repair leader (see coalesce.go).
+	// coalescing queue; it waits for the epoch in after (noNode once
+	// released), then re-enters the normal admission path, and its
+	// launch pre-appoints the repair leader (see coalesce.go).
 	hold   int
 	merged bool
+	after  NodeID
 }
 
 // flight is one repair in progress.
@@ -335,10 +331,11 @@ func (s *Simulation) emit(ev Event) {
 // flushObserver dispatches queued events to the observer. Called only
 // at safe points (end of Submit, end of a Tick, end of the blocking
 // wrappers) and deferred entirely while a blocking wrapper runs, so
-// when a callback fires the pending queue is settled and holds no
-// batch chain operations: an observer may therefore call Submit — or
-// even another blocking call — reentrantly. Events appended during a
-// callback are drained by the same loop, preserving FIFO order.
+// when a callback fires the pending queue is settled and holds none of
+// a blocking call's own operations: an observer may therefore call
+// Submit — or even another blocking call — reentrantly. Events
+// appended during a callback are drained by the same loop, preserving
+// FIFO order.
 func (s *Simulation) flushObserver() {
 	if s.inBlocking {
 		return
@@ -381,13 +378,14 @@ func (s *Simulation) afterRound() {
 	s.admit()
 }
 
-// releaseChains unblocks pending operations waiting on the freed
-// epochs, recording the finishing leader as the launch source: the
-// handoff notifications travel leader-to-member, one per member of the
-// successor's notified set.
+// releaseChains unblocks merged operations waiting on the freed
+// epochs and records the finishing leader as the launch source of
+// operations the freed repairs blocked: the handoff notifications
+// travel leader-to-member, one per member of the successor's notified
+// set.
 func (s *Simulation) releaseChains(freed map[NodeID]NodeID) {
 	for _, po := range s.pending {
-		if po.chain || (po.merged && po.after != noNode) {
+		if po.merged && po.after != noNode {
 			if l, ok := freed[po.after]; ok {
 				po.after = noNode
 				if l != noNode {
@@ -410,8 +408,8 @@ func (s *Simulation) releaseChains(freed map[NodeID]NodeID) {
 
 // admit sweeps the pending queue in submission order, launching every
 // operation whose serialization point has arrived. Repairs that
-// complete instantly (an isolated node) release their chain successors
-// within the same sweep.
+// complete instantly (an isolated node) release their merged
+// successors within the same sweep.
 func (s *Simulation) admit() {
 	for {
 		instant := s.admitPass()
@@ -428,10 +426,8 @@ func (s *Simulation) admit() {
 
 // admitPass is one in-order sweep. An operation is admissible when no
 // earlier-submitted operation still pends on an overlapping footprint
-// and no in-flight repair's region intersects its own; chain members
-// (batch waves) are admissible exactly when their predecessor epoch
-// completed. It returns the epochs of repairs that completed
-// instantly.
+// and no in-flight repair's region intersects its own. It returns the
+// epochs of repairs that completed instantly.
 func (s *Simulation) admitPass() (instant []NodeID) {
 	if len(s.pending) == 0 {
 		return nil
@@ -466,17 +462,6 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 		})
 	}
 	for _, po := range s.pending {
-		if po.chain {
-			if po.after != noNode {
-				keep = append(keep, po)
-				doomed[po.op.V] = struct{}{}
-				continue
-			}
-			if done := s.launchDelete(po); done {
-				instant = append(instant, po.op.V)
-			}
-			continue
-		}
 		if po.merged && po.after != noNode {
 			// Coalesced merge waiting on its predecessor epoch. Refresh
 			// the tentative footprint (in-flight repairs may have moved
@@ -636,10 +621,6 @@ func (s *Simulation) launchDelete(po *pendingOp) (instantlyDone bool) {
 	// removeProcessor updates the maintained physical graph directly
 	// and needs the multiplicity index current.
 	s.drainPhys()
-	// Chain members (batch waves) launch with a nil region: the claim
-	// phase decided their serialization, and they can never coexist
-	// with asynchronous submissions — blocking wrappers require an
-	// idle engine and defer observer callbacks until they return.
 	rep := s.prepareRepair(v)
 	if rep == nil {
 		rs := RecoveryStats{Deleted: v, DegreePrime: degree}
@@ -663,10 +644,10 @@ func (s *Simulation) launchDelete(po *pendingOp) (instantlyDone bool) {
 
 // beginBlocking marks a blocking wrapper in progress: observer
 // dispatch is deferred to the wrapper's end, so callbacks — which may
-// reenter Submit — never run while batch chain operations (whose
-// serialization the claim phase decided without region bookkeeping)
-// are pending or in flight. The returned func restores the previous
-// state and flushes; wrappers defer it.
+// reenter Submit — never run while the wrapper's own operations are
+// pending or in flight, and its stats window covers its own traffic
+// alone. The returned func restores the previous state and flushes;
+// wrappers defer it.
 func (s *Simulation) beginBlocking() func() {
 	prev := s.inBlocking
 	s.inBlocking = true
@@ -713,9 +694,8 @@ func (s *Simulation) sendDeathNotifications(r *pendingRepair, from NodeID, hando
 // set: a heap-shaped complete binary tree in DESCENDING ID order (the
 // root holds the largest ID, so the knockout winner — the smallest —
 // genuinely plays log k matches on its way up), calling place once per
-// member with its tree links (noNode where absent). Shared by the
-// repair's BT_v and the batch claim election tree. Driver-side only
-// (launch and batch-claim paths), so one reusable scratch suffices.
+// member with its tree links (noNode where absent). Driver-side only
+// (the launch path), so one reusable scratch suffices.
 func (s *Simulation) layBT(notify []NodeID, place func(x, parent, left, right NodeID)) {
 	k := len(notify)
 	if cap(s.btOrder) < k {

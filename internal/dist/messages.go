@@ -76,12 +76,11 @@ func helperAddr(owner, other NodeID) addr { return addr{Owner: owner, Other: oth
 // fields Lemma 4 would charge for.
 
 // Repair messages carry an Epoch: the identity of the deletion whose
-// repair they belong to (the deleted processor's ID, unique for the
-// batch's lifetime since IDs are never reused). Repairs of independent
-// damaged regions run concurrently during a batched deletion, and the
-// epoch is how a processor — which may be notified by several repairs
-// at once — files each message under the right leader scratch. A single
-// Delete is a batch of one; its epoch is the deleted node.
+// repair they belong to (the deleted processor's ID, unique forever
+// since IDs are never reused). Repairs of independent damaged regions
+// run concurrently, and the epoch is how a processor — which may be
+// notified by several repairs at once — files each message under the
+// right leader scratch.
 
 // noNode is the "no such processor" sentinel for the BT_v tree links
 // carried by msgDeath (processor IDs are never negative).
@@ -323,79 +322,6 @@ type msgDescriptor struct {
 	Rep       slot
 }
 
-// Batched-deletion claim phase. Before any repair of a batch mutates
-// state, every repair walks the exact region its damage walks and strip
-// would touch, read-only, claiming each record for its epoch. Two walks
-// colliding on a shared record — or a walk running into another batch
-// member's dying avatar — expose a dependence between the two repairs,
-// which the batch coordinator resolves by serializing the younger
-// (larger-epoch) repair into a later wave. Claims are transient; the
-// batch synchronizer clears them before execution begins.
-//
-// The coordinator that collects the conflict reports is NOT announced
-// by the driver: the notified processors elect it themselves by the
-// same knockout tournament the repair leader election runs, over a
-// BT laid across the union of every member's physical neighborhood
-// (msgClaimElect / msgClaimChamp / msgClaimCoord). Claim processing is
-// buffered until the winner is known; dying members — notified like
-// everyone else — answer their buffered notifications with direct
-// conflict reports, so the coordinator's early-abort decision (the
-// batch has unioned into one conflict group, remaining claim traffic
-// is moot) is computed entirely from in-band reports.
-
-// msgClaimDeath is the claim-phase counterpart of msgDeath: the
-// receiver claims every record of its own that the deletion of V would
-// cut or damage, and launches claim walks up the parent chains its
-// damage walks would follow — once the elected coordinator is known
-// (claim notifications arriving earlier are buffered).
-type msgClaimDeath struct {
-	V NodeID // the batch member being probed (also the epoch)
-}
-
-// msgClaimElect hands one notified processor its slot in the claim
-// election tree: the heap-shaped complete binary tree over the union
-// of every member's physical neighborhood (dying members included), in
-// descending ID order — the same will-laid shape as BT_v. K is the
-// batch size, which the eventual winner needs for its union-find over
-// the conflict pairs (the early-abort decision).
-type msgClaimElect struct {
-	BTParent, BTLeft, BTRight NodeID
-	K                         int
-}
-
-// msgClaimChamp moves one subtree's champion up the claim election
-// tree (ClassElection), exactly like msgChampion in the repair leader
-// tournament.
-type msgClaimChamp struct {
-	ID     NodeID
-	Height int
-}
-
-// msgClaimCoord announces the tournament winner — the batch
-// coordinator — down the claim election tree (ClassElection). On
-// learning the winner, a participant processes its buffered claim
-// notifications; no Wait synchronization is needed, because claim
-// walks are read-only and timing-insensitive (any arrival order
-// reports the same conflict pairs).
-type msgClaimCoord struct {
-	Coord NodeID
-}
-
-// msgClaimWalk ascends one parent link in claim mode, mirroring
-// msgMarkDamaged without mutating repair state.
-type msgClaimWalk struct {
-	Target addr
-	Epoch  NodeID
-	Coord  NodeID
-}
-
-// msgConflict reports to the batch coordinator that the repairs of
-// epochs A and B touch a common record (or one walked into the other's
-// dying processor) and therefore must not run concurrently.
-type msgConflict struct {
-	A, B NodeID
-}
-
 // msgCreateHelper instructs a processor to start simulating a fresh
 // helper on the given slot, with fully specified tree links (the
 // leader's merge plan names every neighbor). The epoch tag routes the
@@ -537,12 +463,6 @@ const (
 	wordsDescriptor   = 13
 	wordsCreateHelper = 16
 	wordsSetParent    = 7
-	wordsClaimDeath   = 1
-	wordsClaimElect   = 4
-	wordsClaimChamp   = 2
-	wordsClaimCoord   = 1
-	wordsClaimWalk    = 5
-	wordsConflict     = 2
 
 	// Audit traffic (ClassAudit). Every message is O(1) words — the
 	// audit's overhead guarantee is per-message, not amortized.

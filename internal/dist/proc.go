@@ -22,8 +22,8 @@ type leafRec struct {
 // representative leaf this helper would pass on when merged. The
 // damaged flag is transient repair state (the paper's Breakflag),
 // tagged with the epoch of the repair that set it: two concurrent
-// repairs marking the same helper would mean the batch conflict
-// detector failed, which the handlers treat as a protocol bug.
+// repairs marking the same helper would mean region admission failed,
+// which the handlers treat as a protocol bug.
 type helperRec struct {
 	parent      addr
 	left, right addr
@@ -56,9 +56,9 @@ type processor struct {
 	helpers map[NodeID]*helperRec // keyed by the slot's Other endpoint
 
 	// reps is the leader-side scratch, one per repair this processor is
-	// currently coordinating, keyed by epoch. Concurrent repairs of a
-	// batch may elect the same leader; the epoch tag on every message
-	// keeps their scratches separate.
+	// currently coordinating, keyed by epoch. Concurrent repairs may
+	// elect the same leader; the epoch tag on every message keeps their
+	// scratches separate.
 	reps map[NodeID]*repairState
 
 	// parts is the participant-side transient state, one per repair
@@ -88,21 +88,6 @@ type processor struct {
 	// phase still open (re-armed) or already advanced (ignored) —
 	// observability for the termination-detection tests.
 	wdRearmed, wdStale int
-
-	// Batched-deletion transient state. dying marks a batch member
-	// awaiting its wave (it answers claim walks with conflict reports
-	// instead of participating); claims records which epoch claimed
-	// each of this processor's records during the batch's claim phase
-	// (the processor registers in claimers on first claim so the batch
-	// synchronizer can clear exactly the touched processors); claimEl
-	// is the in-band coordinator-election state (tree slot, running
-	// champion, buffered claim notifications); batch is the
-	// coordinator-side conflict accumulator.
-	dying    bool
-	claims   map[addr]NodeID
-	claimers *dirtyList
-	claimEl  *claimElect
-	batch    *batchScratch
 
 	// done is where the leader registers a repair's in-band completion
 	// (the last merge-instruction ack arrived); the open-loop engine
@@ -220,38 +205,6 @@ type outMsg struct {
 	payload any
 	words   int
 	class   transport.Class
-}
-
-// batchScratch is what the batch coordinator accumulates during the
-// claim phase: the set of conflicting epoch pairs, plus the union-find
-// over the batch members that powers the in-band early-abort decision
-// — the moment the conflict pairs union all K members into one group,
-// every remaining claim message is moot and the coordinator flags the
-// phase decided.
-type batchScratch struct {
-	conflicts map[[2]NodeID]struct{}
-	k         int               // batch size, from msgClaimElect
-	parent    map[NodeID]NodeID // union-find over members seen in pairs
-	merges    int               // effective unions; k-merges == live groups
-	decided   bool              // merges == k-1: one conflict group
-}
-
-// claimElect is one notified processor's transient state in the claim
-// coordinator election: its tree slot, the knockout tournament's
-// progress, and the claim notifications buffered until the winner is
-// known. The haveElect/earlyChamps pair mirrors the repair election's
-// handling of champions that outrun a congested self-addressed
-// notification.
-type claimElect struct {
-	btParent, btLeft, btRight NodeID
-	haveElect                 bool
-	earlyChamps               int
-	champ                     NodeID
-	waitChamps                int
-	height                    int
-	k                         int
-	coord                     NodeID   // noNode until announced
-	pend                      []NodeID // buffered msgClaimDeath epochs
 }
 
 // doneList collects (epoch, leader) pairs for repairs whose completion
@@ -437,18 +390,6 @@ func (p *processor) handle(n transport.Endpoint, m transport.Message) {
 		p.onSetParent(n, m.From, msg)
 	case msgMergeAck:
 		p.onMergeAck(n, msg)
-	case msgClaimDeath:
-		p.onClaimDeath(n, msg)
-	case msgClaimElect:
-		p.onClaimElect(n, msg)
-	case msgClaimChamp:
-		p.onClaimChamp(n, msg)
-	case msgClaimCoord:
-		p.onClaimCoord(n, msg)
-	case msgClaimWalk:
-		p.onClaimWalk(n, msg)
-	case msgConflict:
-		p.batchState().addConflict(msg.A, msg.B)
 	case msgFlushOutbox:
 		p.onFlushOutbox(n)
 	case msgAuditTick:
@@ -512,58 +453,6 @@ func (r *repairState) reset() {
 	r.phase, r.outstanding, r.maxRootHeight = 0, 0, 0
 	r.annRecvd, r.annExpected, r.haveNotifyDone = 0, 0, false
 	r.descRecvd, r.descExpected = 0, 0
-}
-
-// batchState returns the coordinator scratch, allocating on first use.
-func (p *processor) batchState() *batchScratch {
-	if p.batch == nil {
-		p.batch = &batchScratch{
-			conflicts: make(map[[2]NodeID]struct{}),
-			parent:    make(map[NodeID]NodeID),
-		}
-	}
-	return p.batch
-}
-
-func (b *batchScratch) find(v NodeID) NodeID {
-	r, ok := b.parent[v]
-	if !ok {
-		b.parent[v] = v
-		return v
-	}
-	if r != v {
-		r = b.find(r)
-		b.parent[v] = r
-	}
-	return r
-}
-
-func (b *batchScratch) addConflict(a, c NodeID) {
-	if a == c {
-		return
-	}
-	if a > c {
-		a, c = c, a
-	}
-	pair := [2]NodeID{a, c}
-	if _, dup := b.conflicts[pair]; dup {
-		return
-	}
-	b.conflicts[pair] = struct{}{}
-	// Fold the pair into the union-find: members not yet seen start as
-	// their own components, so k - merges counts the live groups (the
-	// unseen members are singletons either way).
-	ra, rc := b.find(a), b.find(c)
-	if ra != rc {
-		if ra > rc {
-			ra, rc = rc, ra
-		}
-		b.parent[rc] = ra
-		b.merges++
-		if b.k > 0 && b.merges >= b.k-1 {
-			b.decided = true
-		}
-	}
 }
 
 func (r *repairState) addRoot(a addr, height int) {
@@ -1007,9 +896,9 @@ func (p *processor) maybeStartKeys(n transport.Endpoint, epoch NodeID, rs *repai
 
 // markDamaged sets the Breakflag for one epoch, panicking if a
 // different repair already holds it: concurrent repairs never share a
-// record (the batch claim phase serializes any two that would), so a
-// cross-epoch collision here is a conflict-detector bug, not a state to
-// recover from.
+// record (region admission serializes any two whose footprints
+// overlap), so a cross-epoch collision here is an admission bug, not a
+// state to recover from.
 func (p *processor) markDamaged(h *helperRec, self addr, epoch NodeID) {
 	if h.damaged && h.depoch != epoch {
 		if !p.staleBreakflag(h) {
@@ -1022,7 +911,7 @@ func (p *processor) markDamaged(h *helperRec, self addr, epoch NodeID) {
 
 // staleBreakflag decides what a cross-epoch Breakflag collision means.
 // Without the audit layer, state is only ever what the protocol wrote,
-// so a collision is a conflict-detector bug and the caller panics. With
+// so a collision is an admission bug and the caller panics. With
 // the audit on, the self-stabilization model admits transient faults:
 // the foreign flag is presumed corrupt, cleared, and counted, and the
 // live repair proceeds as if the helper were fresh.
@@ -1376,202 +1265,6 @@ func (p *processor) finishRepair(epoch NodeID) {
 		p.repFree = append(p.repFree, r)
 	}
 	p.done.add(epoch, p.id)
-}
-
-// claim records that epoch e's repair will touch record a, reporting a
-// conflict to the batch coordinator when another epoch got there first.
-// It returns false when the claim walk should stop here (the record was
-// already claimed, by anyone).
-func (p *processor) claim(n transport.Endpoint, a addr, e, coord NodeID) bool {
-	if p.claims == nil {
-		p.claims = make(map[addr]NodeID)
-		p.claimers.add(p)
-	}
-	if prev, ok := p.claims[a]; ok {
-		if prev != e {
-			n.Send(p.id, coord, msgConflict{A: prev, B: e}, wordsConflict)
-		}
-		return false
-	}
-	p.claims[a] = e
-	return true
-}
-
-// claimElectState returns the claim-election scratch, allocating on
-// first use (a notification or an early champion, whichever arrives
-// first under congestion).
-func (p *processor) claimElectState() *claimElect {
-	if p.claimEl == nil {
-		p.claimEl = &claimElect{
-			champ: p.id, coord: noNode,
-			btParent: noNode, btLeft: noNode, btRight: noNode,
-		}
-	}
-	return p.claimEl
-}
-
-// onClaimElect hands this processor its slot in the claim coordinator
-// election tree and enters it into the knockout tournament — the
-// in-band replacement for the driver announcing the smallest notified
-// ID. The tournament is the repair leader election's, run over the
-// union of every member's physical neighborhood.
-func (p *processor) onClaimElect(n transport.Endpoint, m msgClaimElect) {
-	ce := p.claimElectState()
-	if ce.haveElect {
-		panic(fmt.Sprintf("dist: processor %d claim-elected twice", p.id))
-	}
-	ce.haveElect = true
-	ce.btParent, ce.btLeft, ce.btRight = m.BTParent, m.BTLeft, m.BTRight
-	ce.k = m.K
-	for _, c := range [2]NodeID{m.BTLeft, m.BTRight} {
-		if c != noNode {
-			ce.waitChamps++
-		}
-	}
-	ce.waitChamps -= ce.earlyChamps
-	if ce.waitChamps > 0 {
-		return
-	}
-	p.claimChampDecided(n, ce)
-}
-
-// onClaimChamp folds one subtree's champion into the running minimum,
-// passing the winner up — or announcing it down — once every expected
-// report is in.
-func (p *processor) onClaimChamp(n transport.Endpoint, m msgClaimChamp) {
-	ce := p.claimElectState()
-	if m.ID < ce.champ {
-		ce.champ = m.ID
-	}
-	if m.Height+1 > ce.height {
-		ce.height = m.Height + 1
-	}
-	if !ce.haveElect {
-		ce.earlyChamps++
-		return
-	}
-	ce.waitChamps--
-	if ce.waitChamps > 0 {
-		return
-	}
-	p.claimChampDecided(n, ce)
-}
-
-// claimChampDecided reports this subtree's champion up the election
-// tree — or, at the root, concludes the tournament and announces the
-// coordinator downward. The root (and the trivial one-node tree) then
-// learns the winner like everyone else and drains its buffer.
-func (p *processor) claimChampDecided(n transport.Endpoint, ce *claimElect) {
-	if ce.btParent != noNode {
-		n.SendClass(p.id, ce.btParent, msgClaimChamp{ID: ce.champ, Height: ce.height}, wordsClaimChamp, transport.ClassElection)
-		return
-	}
-	p.claimCoordKnown(n, ce, ce.champ)
-	for _, c := range [2]NodeID{ce.btLeft, ce.btRight} {
-		if c != noNode {
-			n.SendClass(p.id, c, msgClaimCoord{Coord: ce.coord}, wordsClaimCoord, transport.ClassElection)
-		}
-	}
-}
-
-// onClaimCoord learns the elected coordinator, forwards the
-// announcement down the tree, and drains the buffered claim
-// notifications.
-func (p *processor) onClaimCoord(n transport.Endpoint, m msgClaimCoord) {
-	ce := p.claimElectState()
-	p.claimCoordKnown(n, ce, m.Coord)
-	for _, c := range [2]NodeID{ce.btLeft, ce.btRight} {
-		if c != noNode {
-			n.SendClass(p.id, c, msgClaimCoord{Coord: m.Coord}, wordsClaimCoord, transport.ClassElection)
-		}
-	}
-}
-
-// claimCoordKnown records the winner — seeding the coordinator's own
-// union-find with the batch size — and processes every buffered claim
-// notification.
-func (p *processor) claimCoordKnown(n transport.Endpoint, ce *claimElect, coord NodeID) {
-	ce.coord = coord
-	if coord == p.id {
-		// Conflict reports can outrun the announcement on its way down
-		// to the winner, so settle the decision against the pairs
-		// already folded in.
-		b := p.batchState()
-		b.k = ce.k
-		if b.merges >= b.k-1 {
-			b.decided = true
-		}
-	}
-	pend := ce.pend
-	ce.pend = nil
-	for _, v := range pend {
-		p.processClaimDeath(n, v, coord)
-	}
-}
-
-// onClaimDeath buffers the claim notification until the elected
-// coordinator is known, then mirrors onDeath read-only.
-func (p *processor) onClaimDeath(n transport.Endpoint, m msgClaimDeath) {
-	ce := p.claimElectState()
-	if ce.coord == noNode {
-		ce.pend = append(ce.pend, m.V)
-		return
-	}
-	p.processClaimDeath(n, m.V, ce.coord)
-}
-
-// processClaimDeath is the read-only mirror of onDeath: claim every
-// record the deletion of V would cut loose or damage, and launch claim
-// walks along the paths the damage walks would ascend. Nothing
-// mutates; the only outputs are claim marks and conflict reports. A
-// dying processor — a batch member notified of another member's
-// deletion — reports the member-member link as a direct conflict
-// instead, which is how adjacency-derived conflicts reach the
-// coordinator in-band.
-func (p *processor) processClaimDeath(n transport.Endpoint, v, coord NodeID) {
-	if p.dying {
-		n.Send(p.id, coord, msgConflict{A: p.id, B: v}, wordsConflict)
-		return
-	}
-	for _, o := range sortedRecordKeys(p.leaves) {
-		l := p.leaves[o]
-		if l.parent.ok() && l.parent.Owner == v {
-			p.claim(n, leafAddr(p.id, o), v, coord)
-		}
-	}
-	for _, o := range sortedRecordKeys(p.helpers) {
-		h := p.helpers[o]
-		lostParent := h.parent.ok() && h.parent.Owner == v
-		lostChild := (h.left.ok() && h.left.Owner == v) || (h.right.ok() && h.right.Owner == v)
-		if !lostParent && !lostChild {
-			continue
-		}
-		self := helperAddr(p.id, o)
-		cont := p.claim(n, self, v, coord)
-		// The damage walk ascends only from nodes that lost a child and
-		// still have a parent; mirror exactly that.
-		if cont && lostChild && !lostParent && h.parent.ok() {
-			n.Send(p.id, h.parent.Owner, msgClaimWalk{Target: h.parent, Epoch: v, Coord: coord}, wordsClaimWalk)
-		}
-	}
-}
-
-// onClaimWalk ascends one parent link in claim mode. Walking into a
-// dying processor (another batch member awaiting its own wave) exposes
-// a dependence between the two repairs, exactly as the execution-time
-// walk would have found its avatar missing.
-func (p *processor) onClaimWalk(n transport.Endpoint, m msgClaimWalk) {
-	if p.dying {
-		n.Send(p.id, m.Coord, msgConflict{A: p.id, B: m.Epoch}, wordsConflict)
-		return
-	}
-	h := p.mustHelper(m.Target)
-	if !p.claim(n, m.Target, m.Epoch, m.Coord) {
-		return
-	}
-	if h.parent.ok() {
-		n.Send(p.id, h.parent.Owner, msgClaimWalk{Target: h.parent, Epoch: m.Epoch, Coord: m.Coord}, wordsClaimWalk)
-	}
 }
 
 func (p *processor) mustLeaf(a addr) *leafRec {

@@ -140,8 +140,8 @@ func TestTransportEquivalenceBlocking(t *testing.T) {
 }
 
 // TestTransportEquivalenceBatch: DeleteBatch waves — overlapping
-// repairs of independent regions, claim-phase serialization of the
-// rest — interleaved with singleton churn.
+// repairs of independent regions, region-admission serialization of
+// the rest — interleaved with singleton churn.
 func TestTransportEquivalenceBatch(t *testing.T) {
 	for _, topo := range equivTopologies {
 		topo := topo

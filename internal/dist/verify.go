@@ -9,7 +9,7 @@ import (
 
 // Verify revalidates the entire distributed state from scratch: record
 // consistency (every tree link mutual, no dangling addresses, no
-// leftover repair flags or batch scratch), the virtual-graph invariants
+// leftover repair flags or scratch), the virtual-graph invariants
 // core checks (leaf characterization, helper-per-slot, valid hafts with
 // the right helper census, representative correctness), the
 // incrementally maintained physical graph against a from-scratch
@@ -42,15 +42,6 @@ func (s *Simulation) Verify() error {
 		}
 		if len(p.stripWait) != 0 {
 			return fmt.Errorf("dist: processor %d holds leftover strip-cascade waiters", id)
-		}
-		if p.dying {
-			return fmt.Errorf("dist: processor %d still marked dying", id)
-		}
-		if p.claims != nil {
-			return fmt.Errorf("dist: processor %d holds leftover claim marks", id)
-		}
-		if p.batch != nil {
-			return fmt.Errorf("dist: processor %d holds leftover batch coordinator scratch", id)
 		}
 		if len(p.physLog) != 0 {
 			return fmt.Errorf("dist: processor %d holds undrained physical-graph edits", id)

@@ -162,12 +162,6 @@ func (s *Simulation) checkProcessorLocal(p *processor) error {
 	if len(p.stripWait) != 0 {
 		return fmt.Errorf("dist: processor %d holds leftover strip-cascade waiters", id)
 	}
-	if p.dying {
-		return fmt.Errorf("dist: processor %d still marked dying", id)
-	}
-	if p.claims != nil {
-		return fmt.Errorf("dist: processor %d holds leftover claim marks", id)
-	}
 	if len(p.physLog) != 0 {
 		return fmt.Errorf("dist: processor %d holds undrained physical-graph edits", id)
 	}

@@ -12,7 +12,9 @@ import "repro/internal/wirenet"
 // Tags are part of the wire format between the hub and its worker
 // processes of ONE run (hub and workers are the same binary, so both
 // sides always agree); they still must not be reused within a binary,
-// which the registry enforces at init time.
+// which the registry enforces at init time. Tags 18–23 belonged to the
+// retired batch claim phase and stay unused rather than renumbering
+// the tags after them.
 func init() {
 	wirenet.RegisterPayload(1, msgDeath{})
 	wirenet.RegisterPayload(2, msgChampion{})
@@ -31,12 +33,6 @@ func init() {
 	wirenet.RegisterPayload(15, msgStripDone{})
 	wirenet.RegisterPayload(16, msgMergeAck{})
 	wirenet.RegisterPayload(17, msgDescriptor{})
-	wirenet.RegisterPayload(18, msgClaimDeath{})
-	wirenet.RegisterPayload(19, msgClaimElect{})
-	wirenet.RegisterPayload(20, msgClaimChamp{})
-	wirenet.RegisterPayload(21, msgClaimCoord{})
-	wirenet.RegisterPayload(22, msgClaimWalk{})
-	wirenet.RegisterPayload(23, msgConflict{})
 	wirenet.RegisterPayload(24, msgCreateHelper{})
 	wirenet.RegisterPayload(25, msgSetParent{})
 	wirenet.RegisterPayload(26, msgAuditProbe{})

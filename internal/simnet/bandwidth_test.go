@@ -156,12 +156,6 @@ func TestPendingCountsBacklog(t *testing.T) {
 	if pw := n.PendingWords(); pw != 5 {
 		t.Fatalf("PendingWords after one round = %d, want 5", pw)
 	}
-	if dropped := n.DropPending(); dropped != 2 {
-		t.Fatalf("DropPending = %d, want 2", dropped)
-	}
-	if n.Pending() != 0 || n.PendingWords() != 0 {
-		t.Fatal("pending traffic survived DropPending")
-	}
 }
 
 func TestPerEdgeBandwidthOverride(t *testing.T) {

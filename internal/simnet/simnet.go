@@ -498,17 +498,6 @@ func (n *Network) PendingWords() int {
 	return words
 }
 
-// DropPending discards every queued message and timer without
-// delivering them, returning how many were dropped. The batched-repair
-// synchronizer uses it to abort a claim phase whose outcome is already
-// decided; dropped traffic counts neither as delivered nor as
-// addressed-to-dead.
-func (n *Network) DropPending() int {
-	k := len(n.queue) + len(n.future)
-	n.queue, n.future = nil, nil
-	return k
-}
-
 // Dropped returns the number of messages addressed to dead processors.
 func (n *Network) Dropped() int { return n.dropped }
 

@@ -206,9 +206,6 @@ type Plane interface {
 	// PendingWords sums the sizes of all waiting network messages
 	// (timers are free and count 0).
 	PendingWords() int
-	// DropPending discards every queued message and timer without
-	// delivering them, returning how many were dropped.
-	DropPending() int
 	// Dropped returns the number of messages addressed to dead
 	// processors.
 	Dropped() int

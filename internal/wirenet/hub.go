@@ -612,20 +612,6 @@ func (h *Hub) PendingWords() int {
 	return words
 }
 
-// DropPending discards every outstanding message and armed timer.
-// In-flight copies arriving later are shed by the outstanding check.
-func (h *Hub) DropPending() int {
-	k := len(h.timers)
-	h.timers = nil
-	for e, out := range h.outstanding {
-		k += len(out)
-		delete(h.outstanding, e)
-		delete(h.hold, e)
-	}
-	h.inflight = 0
-	return k
-}
-
 // Dropped returns the number of network messages addressed to dead
 // processors.
 func (h *Hub) Dropped() int { return h.dropped }

@@ -125,22 +125,3 @@ func TestOptionsApplyAtConstruction(t *testing.T) {
 		t.Fatal("WithBandwidth(8) produced no congestion on a star repair")
 	}
 }
-
-// TestDeprecatedWrapperAgrees pins NewWithTransport to its New
-// equivalent.
-func TestDeprecatedWrapperAgrees(t *testing.T) {
-	a, err := NewWithTransport(star(8), TransportChan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Transport() != TransportChan {
-		t.Fatalf("wrapper transport = %v", a.Transport())
-	}
-	if err := a.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}

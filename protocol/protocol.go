@@ -264,14 +264,6 @@ func New(edges []Edge, opts ...Option) (*Network, error) {
 	return n, nil
 }
 
-// NewWithTransport builds the distributed network on the chosen
-// message-passing substrate.
-//
-// Deprecated: use New(edges, WithTransport(kind)).
-func NewWithTransport(edges []Edge, kind TransportKind) (*Network, error) {
-	return New(edges, WithTransport(kind))
-}
-
 // Transport reports which substrate the network runs on.
 func (n *Network) Transport() TransportKind { return n.kind }
 
@@ -328,18 +320,14 @@ type BatchCost struct {
 	// Batch is the number of deletions; Groups how many independent
 	// conflict groups they formed (repairs of distinct groups ran
 	// concurrently); Waves the serialization depth; Conflicts the
-	// number of conflicting repair pairs detected.
+	// number of member pairs whose repair footprints overlap.
 	Batch     int
 	Groups    int
 	Waves     int
 	Conflicts int
-	// Messages and Rounds cover the whole batch, including the
-	// conflict-discovery claim phase. ClaimAborted reports that
-	// conflict discovery stopped early because the batch was proven to
-	// be one conflict group.
-	Messages     int
-	Rounds       int
-	ClaimAborted bool
+	// Messages and Rounds cover the whole batch.
+	Messages int
+	Rounds   int
 	// ElectionRounds and SyncRounds expose the batch's in-band
 	// coordination cost across all waves (see RepairCost).
 	ElectionRounds int
@@ -375,7 +363,6 @@ func convBatch(b dist.BatchStats) BatchCost {
 	return BatchCost{
 		Batch: b.Batch, Groups: b.Groups, Waves: b.Waves,
 		Conflicts: b.Conflicts, Messages: b.Messages, Rounds: b.Rounds,
-		ClaimAborted:     b.ClaimAborted,
 		ElectionRounds:   b.ElectionRounds,
 		SyncRounds:       b.SyncRounds,
 		QueuedWords:      b.QueuedWords,
@@ -692,8 +679,6 @@ const (
 	CorruptDamageFlag CorruptMode = CorruptMode(dist.CorruptDamageFlag)
 	// CorruptStaleEpoch plants repair scratch for a finished epoch.
 	CorruptStaleEpoch CorruptMode = CorruptMode(dist.CorruptStaleEpoch)
-	// CorruptClaimMark plants a phantom batch-claim mark.
-	CorruptClaimMark CorruptMode = CorruptMode(dist.CorruptClaimMark)
 	// CorruptFootprint plants a phantom in-flight repair footprint in
 	// the open-loop engine.
 	CorruptFootprint CorruptMode = CorruptMode(dist.CorruptFootprint)

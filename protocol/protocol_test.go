@@ -265,7 +265,7 @@ func TestAsyncFacade(t *testing.T) {
 // given the same operations.
 func TestChanTransportFacade(t *testing.T) {
 	run := func(kind TransportKind) *Network {
-		net, err := NewWithTransport(star(12), kind)
+		net, err := New(star(12), WithTransport(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
