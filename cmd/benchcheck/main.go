@@ -1,6 +1,6 @@
 // Command benchcheck compares `go test -bench` output against a
-// recorded baseline (BENCH_dist.json, BENCH_graph.json) and fails on
-// regressions. It is
+// recorded baseline (BENCH_dist.json, BENCH_graph.json,
+// BENCH_transport.json) and fails on regressions. It is
 // the CI gate for the perf numbers the repo publishes: wall-time
 // (ns/op) may drift with runner noise, so it gets a loose tolerance;
 // protocol message counts are deterministic under a pinned -benchtime,
@@ -11,10 +11,11 @@
 //	go test -run '^$' -bench ... -benchtime=50x ./internal/dist | \
 //	    benchcheck -baseline BENCH_dist.json [-ns-tol 0.30] [-msgs-tol 0.05]
 //
-// Baseline benchmarks absent from the input are skipped (the CI job
-// runs a subset); input benchmarks absent from the baseline are
-// reported so a missing re-record is visible. At least one comparison
-// must happen or the check fails.
+// A benchmark run several times (-count=N) is compared by the median
+// of its samples, metric by metric. Baseline benchmarks absent from
+// the input are skipped (the CI job runs a subset); input benchmarks
+// absent from the baseline are reported so a missing re-record is
+// visible. At least one comparison must happen or the check fails.
 package main
 
 import (
@@ -77,10 +78,11 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.+)$`)
 // parseBench extracts name -> metric key -> value from bench output.
 // The trailing -N GOMAXPROCS suffix is stripped from names; units map
 // to the baseline's snake_case keys (ns/op -> ns_per_op, msgs/batch ->
-// msgs_per_batch, B/op -> bytes_per_op, ...).
-func parseBench(r io.Reader) (map[string]map[string]float64, []string, error) {
-	out := make(map[string]map[string]float64)
-	var order []string
+// msgs_per_batch, B/op -> bytes_per_op, ...). A name that appears more
+// than once (go test -count=N) yields, per metric, the median of its
+// samples, so one noisy run neither fails nor passes the gate alone.
+func parseBench(r io.Reader) (map[string]map[string]float64, error) {
+	samples := make(map[string]map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
@@ -95,22 +97,44 @@ func parseBench(r io.Reader) (map[string]map[string]float64, []string, error) {
 		}
 		fields := strings.Fields(m[2])
 		if len(fields)%2 != 0 {
-			return nil, nil, fmt.Errorf("odd metric fields in %q", sc.Text())
+			return nil, fmt.Errorf("odd metric fields in %q", sc.Text())
 		}
-		metrics := make(map[string]float64, len(fields)/2)
+		metrics := samples[name]
+		if metrics == nil {
+			metrics = make(map[string][]float64, len(fields)/2)
+			samples[name] = metrics
+		}
 		for i := 0; i < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bad value %q in %q", fields[i], sc.Text())
+				return nil, fmt.Errorf("bad value %q in %q", fields[i], sc.Text())
 			}
-			metrics[metricKey(fields[i+1])] = v
+			key := metricKey(fields[i+1])
+			metrics[key] = append(metrics[key], v)
 		}
-		if _, dup := out[name]; !dup {
-			order = append(order, name)
-		}
-		out[name] = metrics
 	}
-	return out, order, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[string]float64, len(samples))
+	for name, metrics := range samples {
+		out[name] = make(map[string]float64, len(metrics))
+		for key, vs := range metrics {
+			out[name][key] = median(vs)
+		}
+	}
+	return out, nil
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when their number is even. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 func metricKey(unit string) string {
@@ -165,7 +189,7 @@ func check(baseline []byte, input io.Reader, nsTol, msgsTol, allocsTol float64, 
 	if err := json.Unmarshal(baseline, &base); err != nil {
 		return fmt.Errorf("parsing baseline: %w", err)
 	}
-	got, _, err := parseBench(input)
+	got, err := parseBench(input)
 	if err != nil {
 		return fmt.Errorf("parsing bench output: %w", err)
 	}

@@ -172,3 +172,25 @@ BenchmarkBatchedDelete/k=1-8    50    30000 ns/op    15.0 msgs/batch
 		t.Fatalf("wrong failure: %v", err)
 	}
 }
+
+func TestComparesMedianOfRepeatedSamples(t *testing.T) {
+	// Three samples of one benchmark (go test -count=3): only the last
+	// regresses (60000 > 52000 ns allowed, 22 > 21 msgs allowed), so the
+	// medians — 45000 ns and 20.2 msgs — pass.
+	out, err := run(t, `
+BenchmarkBatchedDelete/k=1-8    50    45000 ns/op    20.2 msgs/batch    6.000 rounds/batch
+BenchmarkBatchedDelete/k=1-8    50    41000 ns/op    20.0 msgs/batch    6.000 rounds/batch
+BenchmarkBatchedDelete/k=1-8    50    60000 ns/op    22.0 msgs/batch    6.000 rounds/batch
+`)
+	if err != nil {
+		t.Fatalf("median of repeated samples failed on one outlier: %v\n%s", err, out)
+	}
+	// And a median that regresses still fails.
+	if _, err := run(t, `
+BenchmarkBatchedDelete/k=1-8    50    60000 ns/op    20.0 msgs/batch    6.000 rounds/batch
+BenchmarkBatchedDelete/k=1-8    50    41000 ns/op    20.0 msgs/batch    6.000 rounds/batch
+BenchmarkBatchedDelete/k=1-8    50    58000 ns/op    20.0 msgs/batch    6.000 rounds/batch
+`); err == nil || !strings.Contains(err.Error(), "ns_per_op regressed") {
+		t.Fatalf("regressed median passed or failed wrongly: %v", err)
+	}
+}

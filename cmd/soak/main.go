@@ -30,14 +30,14 @@
 // round-synchronous simulator — the Go scheduler picks the delivery
 // interleaving, so long campaigns shake out schedules the deterministic
 // simulator never produces. The chan substrate has no bandwidth model:
-// it rejects -bandwidth, -slow-frac and -parallel.
+// it rejects -bandwidth and -slow-frac.
 //
 // With -dist -transport=wire, the processors are sharded across worker
 // OS processes and every message crosses loopback TCP (length-prefixed
 // frames, per-edge FIFO, reconnect-with-resend) — the most hostile
 // delivery substrate the repro has, with real kernel scheduling and
 // socket buffering picking the interleaving. Like chan, wire has no
-// bandwidth model and rejects -bandwidth, -slow-frac and -parallel.
+// bandwidth model and rejects -bandwidth and -slow-frac.
 //
 // With -dist -async, the campaign drives the OPEN-LOOP engine instead
 // of the blocking calls: operations are submitted on the adversary's
@@ -59,7 +59,7 @@
 // Usage:
 //
 //	soak [-n N] [-topology NAME] [-steps K] [-seed S] [-insert-p P]
-//	     [-check-every C] [-dist] [-parallel] [-full-check]
+//	     [-check-every C] [-dist] [-full-check]
 //	     [-batch K] [-batch-strategy random|disjoint|colliding]
 //	     [-delete STRATEGY] [-bandwidth B] [-no-spread] [-slow-frac F]
 //	     [-async] [-async-gap G] [-transport sim|chan|wire]
@@ -105,7 +105,6 @@ func run() error {
 		insertP   = flag.Float64("insert-p", 0.45, "insertion probability per step")
 		checkEvy  = flag.Int("check-every", 25, "full invariant re-validation interval")
 		useDist   = flag.Bool("dist", false, "soak the distributed protocol instead of the engine")
-		parallel  = flag.Bool("parallel", false, "with -dist: goroutine-per-processor delivery")
 		batchK    = flag.Int("batch", 1, "deletions per burst (1 = single-deletion path)")
 		batchName = flag.String("batch-strategy", "random", "burst shape: random, disjoint, or colliding")
 		bandwidth = flag.Int("bandwidth", 0, "with -dist: per-edge cap in words/round (0 = unlimited)")
@@ -169,9 +168,6 @@ func run() error {
 	if concurrent && *slowFrac > 0 {
 		return fmt.Errorf("-slow-frac needs the simnet bandwidth model; drop -transport=%s", *transp)
 	}
-	if concurrent && *parallel {
-		return fmt.Errorf("-parallel selects simnet's shadow-network delivery; -transport=%s is already concurrent", *transp)
-	}
 	if *async && !*useDist {
 		return fmt.Errorf("-async drives the distributed protocol's open-loop engine; add -dist")
 	}
@@ -202,8 +198,8 @@ func run() error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	g0 := gen(*n, rng)
-	fmt.Printf("soak: topology=%s n=%d steps=%d seed=%d dist=%v transport=%s parallel=%v batch=%d strategy=%s delete=%s bandwidth=%d spread=%v slow-frac=%v async=%v coalesce=%v\n",
-		*topology, g0.NumNodes(), *steps, *seed, *useDist, *transp, *parallel, *batchK, batchStrat.Name(),
+	fmt.Printf("soak: topology=%s n=%d steps=%d seed=%d dist=%v transport=%s batch=%d strategy=%s delete=%s bandwidth=%d spread=%v slow-frac=%v async=%v coalesce=%v\n",
+		*topology, g0.NumNodes(), *steps, *seed, *useDist, *transp, *batchK, batchStrat.Name(),
 		deleter.Name(), *bandwidth, !*noSpread, *slowFrac, *async, *coalesce)
 
 	var (
@@ -217,7 +213,6 @@ func run() error {
 		}
 		// On wire, Close is what terminates the worker processes.
 		defer s.Close()
-		s.SetParallel(*parallel)
 		s.SetBandwidth(*bandwidth)
 		s.SetSpread(!*noSpread)
 		if *slowFrac > 0 {

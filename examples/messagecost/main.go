@@ -26,9 +26,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Goroutine-per-processor delivery: the repair truly runs
-		// concurrently; results are identical to sequential mode.
-		net.SetParallel(true)
 		if err := net.Delete(0); err != nil {
 			log.Fatal(err)
 		}

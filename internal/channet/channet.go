@@ -112,14 +112,6 @@ func (nd *node) take() (entry, bool) {
 	return e, true
 }
 
-// timerRec is an armed logical-clock timer.
-type timerRec struct {
-	owner NodeID
-	due   int64
-	seq   int
-	msg   transport.Message
-}
-
 // Network is a set of processors exchanging messages over in-process
 // queues. The zero value is not usable; construct with New or
 // NewSeeded. Driver-facing methods (Step, AddNode, Pending, ...) must
@@ -149,9 +141,11 @@ type Network struct {
 	// seq tickets every send for deterministic tie-breaking.
 	seq atomic.Int64
 
-	// timersMu guards the armed-timer list (handlers arm concurrently).
+	// timersMu guards the armed timers (handlers arm concurrently);
+	// fired is fireEarliest's reusable batch.
 	timersMu sync.Mutex
-	timers   []timerRec
+	timers   transport.Timers
+	fired    []transport.Message
 
 	// statsMu guards the traffic counters below.
 	statsMu     sync.Mutex
@@ -226,13 +220,7 @@ func (n *Network) RemoveNode(id NodeID) {
 		nd.inbox = nil
 	}
 	n.timersMu.Lock()
-	kept := n.timers[:0]
-	for _, t := range n.timers {
-		if t.owner != id {
-			kept = append(kept, t)
-		}
-	}
-	n.timers = kept
+	n.timers.RemoveOwner(id)
 	n.timersMu.Unlock()
 }
 
@@ -240,28 +228,6 @@ func (n *Network) RemoveNode(id NodeID) {
 func (n *Network) HasNode(id NodeID) bool {
 	_, ok := n.nodes[id]
 	return ok
-}
-
-// CancelTimers discards every armed timer owned by one processor,
-// returning how many were cancelled. RemoveNode already purges the
-// dead node's timers; this is the standalone form drivers with
-// standing per-node timers (the audit layer) use when they need the
-// same effect without unregistering. Must only be called between
-// Steps.
-func (n *Network) CancelTimers(id NodeID) int {
-	n.timersMu.Lock()
-	defer n.timersMu.Unlock()
-	cancelled := 0
-	kept := n.timers[:0]
-	for _, t := range n.timers {
-		if t.owner == id {
-			cancelled++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	n.timers = kept
-	return cancelled
 }
 
 // SkewClock perturbs one processor's logical clock by delta — a fault-
@@ -297,12 +263,13 @@ func (n *Network) Validate() error {
 	}
 	n.timersMu.Lock()
 	defer n.timersMu.Unlock()
-	for _, t := range n.timers {
-		if _, ok := n.nodes[t.owner]; !ok {
-			return fmt.Errorf("channet: armed timer owned by unregistered processor %d", t.owner)
+	var err error
+	n.timers.EachOwner(func(owner NodeID) {
+		if _, ok := n.nodes[owner]; !ok {
+			err = fmt.Errorf("channet: armed timer owned by unregistered processor %d", owner)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Round returns the macro-pulse counter: how many Steps have run.
@@ -332,13 +299,10 @@ func (n *Network) SendTimer(owner NodeID, payload any, delay int) {
 	if delay < 1 {
 		panic(fmt.Sprintf("channet: timer with delay %d", delay))
 	}
-	m := transport.Message{
-		From: owner, To: owner, Payload: payload, Timer: true,
-		Seq: int(n.seq.Add(1)),
-	}
-	t := timerRec{owner: owner, due: n.clockOf(owner) + int64(delay), seq: m.Seq, msg: m}
+	seq := int(n.seq.Add(1))
+	due := n.clockOf(owner) + int64(delay)
 	n.timersMu.Lock()
-	n.timers = append(n.timers, t)
+	n.timers.Arm(owner, due, seq, payload)
 	n.timersMu.Unlock()
 }
 
@@ -418,14 +382,13 @@ func (n *Network) SetNodeBandwidth(id NodeID, words int) {
 // Step runs one macro-pulse: deliver every queued message (cascades
 // included) until nothing is in flight; if that found no messages at
 // all and timers are armed, fire the earliest-due timer batch and
-// drain its cascade the same way. Returns the number of deliveries.
+// drain it and its cascade the same way. Returns the number of
+// deliveries, each fired timer counted once.
 func (n *Network) Step() int {
 	n.pulse.Add(1)
 	delivered := n.drain()
-	if delivered == 0 {
-		if fired := n.fireEarliest(); fired > 0 {
-			delivered = fired + n.drain()
-		}
+	if delivered == 0 && n.fireEarliest() {
+		delivered = n.drain()
 	}
 	n.statsMu.Lock()
 	if delivered > 0 {
@@ -543,45 +506,21 @@ func (n *Network) sortedIDs() []NodeID {
 }
 
 // fireEarliest moves the earliest-due timer batch (all timers tied at
-// the minimum due) into their owners' inboxes, ordered by (due,
-// owner, seq), and returns how many fired. Delivery stamps the
-// owner's clock to at least the due tick, so re-armed timers march
-// strictly forward.
-func (n *Network) fireEarliest() int {
+// the minimum due) into their owners' inboxes in (owner, seq) order,
+// reporting whether any fired; the drain that follows delivers and
+// counts them. Delivery stamps the owner's clock to at least the due
+// tick, so re-armed timers march strictly forward.
+func (n *Network) fireEarliest() bool {
 	n.timersMu.Lock()
 	defer n.timersMu.Unlock()
-	if len(n.timers) == 0 {
-		return 0
-	}
-	min := n.timers[0].due
-	for _, t := range n.timers[1:] {
-		if t.due < min {
-			min = t.due
-		}
-	}
-	var batch []timerRec
-	kept := n.timers[:0]
-	for _, t := range n.timers {
-		if t.due == min {
-			batch = append(batch, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	n.timers = kept
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].owner != batch[j].owner {
-			return batch[i].owner < batch[j].owner
-		}
-		return batch[i].seq < batch[j].seq
-	})
-	fired := 0
-	for _, t := range batch {
+	batch, due := n.timers.PopEarliest(n.fired[:0])
+	for _, m := range batch {
 		// due-1: take() adds the +1 tick on delivery.
-		n.deliverTo(t.owner, entry{msg: t.msg, at: t.due - 1})
-		fired++
+		n.deliverTo(m.From, entry{msg: m, at: due - 1})
 	}
-	return fired
+	clear(batch)
+	n.fired = batch[:0]
+	return len(batch) > 0
 }
 
 // book folds one delivered network message into the stats; timers are
@@ -617,7 +556,7 @@ func (n *Network) book(m transport.Message) {
 // Pending reports how many messages and timers await delivery.
 func (n *Network) Pending() int {
 	n.timersMu.Lock()
-	t := len(n.timers)
+	t := n.timers.Len()
 	n.timersMu.Unlock()
 	return int(n.inflight.Load()) + t
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/graph"
 )
 
@@ -43,22 +44,41 @@ func steadyChurnedSim(tb testing.TB, n, churn int) *Simulation {
 // TestZeroAllocTick pins the quiescent steady state: once the engine
 // has drained, a Tick (transport pulse, completion drain, admission
 // sweep, audit hooks, certificate sweep guard) plus an empty event
-// drain must not allocate at all.
+// drain must not allocate at all. With the audit on, every processor
+// holds a standing tick timer; the ticks between two period
+// boundaries, where none of them is due, must not allocate either.
 func TestZeroAllocTick(t *testing.T) {
-	s := steadyChurnedSim(t, 256, 24)
-	if !s.Idle() {
-		t.Fatal("engine not idle after drain")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if s.Tick() {
-			t.Fatal("engine reported work while quiescent")
+	const runs = 200
+	for _, audited := range []bool{false, true} {
+		name := "audit-off"
+		if audited {
+			name = "audit-on"
 		}
-		if evs := s.Poll(); len(evs) != 0 {
-			t.Fatalf("events on a quiescent tick: %v", evs)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("quiescent Tick allocates %.1f times per op, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			s := steadyChurnedSim(t, 256, 24)
+			if audited {
+				if err := s.EnableAudit(audit.Config{}); err != nil {
+					t.Fatal(err)
+				}
+				if left := audit.DefaultPeriod - s.net.Round()%audit.DefaultPeriod; left <= runs+1 {
+					t.Fatalf("only %d ticks to the next audit boundary", left)
+				}
+			}
+			if !s.Idle() {
+				t.Fatal("engine not idle after drain")
+			}
+			allocs := testing.AllocsPerRun(runs, func() {
+				if s.Tick() {
+					t.Fatal("engine reported work while quiescent")
+				}
+				if evs := s.Poll(); len(evs) != 0 {
+					t.Fatalf("events on a quiescent tick: %v", evs)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("quiescent Tick allocates %.1f times per op, want 0", allocs)
+			}
+		})
 	}
 }
 

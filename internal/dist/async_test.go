@@ -68,10 +68,9 @@ func genSchedule(g0 *graph.Graph, ops int, seed int64) []asyncOp {
 // (submitting mid-flight, ticking between submissions) and through the
 // serialized blocking replay plus the core reference, asserting
 // bit-identical healed graphs.
-func replayAsync(t *testing.T, g0 *graph.Graph, schedule []asyncOp, bandwidth int, parallel bool) {
+func replayAsync(t *testing.T, g0 *graph.Graph, schedule []asyncOp, bandwidth int) {
 	t.Helper()
 	async := NewSimulation(g0)
-	async.SetParallel(parallel)
 	async.SetBandwidth(bandwidth)
 	blocking := NewSimulation(g0)
 	blocking.SetBandwidth(bandwidth)
@@ -166,7 +165,7 @@ func TestAsyncEquivalenceWithBlocking(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				g0 := topo.gen(rand.New(rand.NewSource(700 + seed)))
 				schedule := genSchedule(g0, topo.ops, 31*seed+5)
-				replayAsync(t, g0, schedule, 0, seed == 2)
+				replayAsync(t, g0, schedule, 0)
 			}
 		})
 	}
@@ -182,7 +181,7 @@ func TestAsyncEquivalenceUnderBandwidth(t *testing.T) {
 		t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) {
 			g0 := graph.PreferentialAttachment(28, 2, rand.New(rand.NewSource(910)))
 			schedule := genSchedule(g0, 26, 17)
-			replayAsync(t, g0, schedule, B, false)
+			replayAsync(t, g0, schedule, B)
 		})
 	}
 }

@@ -30,9 +30,7 @@ func FuzzBandwidthSchedule(f *testing.F) {
 
 		g0 := graph.Grid(4, 4) // 16 nodes, ids 0..15
 		limited := NewSimulation(g0)
-		limited.SetParallel(true)
 		unlimited := NewSimulation(g0)
-		unlimited.SetParallel(true)
 
 		// Low bits: global cap 1..4; bit 4: leader pacing off; bits
 		// 5..6: how many grid edges get a tighter override.

@@ -151,68 +151,31 @@ func TestStarHubCongestionAndSpread(t *testing.T) {
 }
 
 // TestBandwidthBatchEquivalence: batches under a finite cap heal to
-// the same graph as the sequential core reference, in both delivery
-// modes.
+// the same graph as the sequential core reference.
 func TestBandwidthBatchEquivalence(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		g0 := graph.PreferentialAttachment(28, 3, rand.New(rand.NewSource(91)))
-		s := NewSimulation(g0)
-		s.SetParallel(parallel)
-		s.SetBandwidth(2)
-		e := core.NewEngine(g0)
-		rng := rand.New(rand.NewSource(17))
-		for i := 0; i < 6; i++ {
-			live := s.LiveNodes()
-			if len(live) == 0 {
-				break
-			}
-			batch := pickBatch(live, rng, 1+rng.Intn(4))
-			if err := s.DeleteBatch(batch); err != nil {
-				t.Fatalf("parallel=%v batch %v: %v", parallel, batch, err)
-			}
-			if err := e.DeleteBatch(batch); err != nil {
-				t.Fatalf("core batch %v: %v", batch, err)
-			}
-			if !s.Physical().Equal(e.Physical()) {
-				t.Fatalf("parallel=%v batch %v: healed graphs diverge", parallel, batch)
-			}
-		}
-		if err := s.Verify(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestBandwidthSequentialVsParallelDelivery: with a finite cap both
-// delivery modes must still produce identical graphs and stats —
-// congestion counters included.
-func TestBandwidthSequentialVsParallelDelivery(t *testing.T) {
-	g0 := graph.PreferentialAttachment(32, 3, rand.New(rand.NewSource(33)))
-	seq := NewSimulation(g0)
-	seq.SetBandwidth(1)
-	par := NewSimulation(g0)
-	par.SetBandwidth(1)
-	par.SetParallel(true)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 5; i++ {
-		live := seq.LiveNodes()
+	g0 := graph.PreferentialAttachment(28, 3, rand.New(rand.NewSource(91)))
+	s := NewSimulation(g0)
+	s.SetBandwidth(2)
+	e := core.NewEngine(g0)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 6; i++ {
+		live := s.LiveNodes()
 		if len(live) == 0 {
 			break
 		}
 		batch := pickBatch(live, rng, 1+rng.Intn(4))
-		if err := seq.DeleteBatch(batch); err != nil {
-			t.Fatalf("sequential: %v", err)
+		if err := s.DeleteBatch(batch); err != nil {
+			t.Fatalf("batch %v: %v", batch, err)
 		}
-		if err := par.DeleteBatch(batch); err != nil {
-			t.Fatalf("parallel: %v", err)
+		if err := e.DeleteBatch(batch); err != nil {
+			t.Fatalf("core batch %v: %v", batch, err)
 		}
-		if seq.LastBatch() != par.LastBatch() {
-			t.Fatalf("batch %v: stats diverge between delivery modes:\n%+v\n%+v",
-				batch, seq.LastBatch(), par.LastBatch())
+		if !s.Physical().Equal(e.Physical()) {
+			t.Fatalf("batch %v: healed graphs diverge", batch)
 		}
-		if !seq.Physical().Equal(par.Physical()) {
-			t.Fatalf("batch %v: graphs diverge between delivery modes", batch)
-		}
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

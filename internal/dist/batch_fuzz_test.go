@@ -42,7 +42,6 @@ func FuzzBatchSchedule(f *testing.F) {
 		}
 		g0 := graph.Grid(4, 4) // 16 nodes, ids 0..15
 		s := NewSimulation(g0)
-		s.SetParallel(true)
 		e := core.NewEngine(g0)
 		nextID := NodeID(200)
 		for _, b := range data {

@@ -12,9 +12,7 @@ import (
 // Differential equivalence for batched deletions: dist.DeleteBatch
 // overlaps repairs of independent regions, core.DeleteBatch applies
 // the same deletions sequentially in canonical order, and the healed
-// graphs must be identical. Batch tests run in the parallel delivery
-// mode by default — concurrent repairs are the execution model the
-// batch pipeline exists for.
+// graphs must be identical.
 
 // pickBatch draws k distinct live nodes.
 func pickBatch(live []NodeID, rng *rand.Rand, k int) []NodeID {
@@ -29,13 +27,12 @@ func pickBatch(live []NodeID, rng *rand.Rand, k int) []NodeID {
 }
 
 // replayBatches drives random insert/batch-delete schedules through a
-// fresh dist.Simulation (parallel delivery) and core.Engine over g0,
+// fresh dist.Simulation and core.Engine over g0,
 // asserting equal healed graphs after every operation and full
 // revalidation at the end.
 func replayBatches(t *testing.T, g0 *graph.Graph, ops, maxK int, seed int64) {
 	t.Helper()
 	s := NewSimulation(g0)
-	s.SetParallel(true)
 	e := core.NewEngine(g0)
 	rng := rand.New(rand.NewSource(seed))
 	nextID := NodeID(20_000)
@@ -121,7 +118,6 @@ func TestBatchGrindsDown(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g0 := graph.GNP(28, 0.2, rng)
 	s := NewSimulation(g0)
-	s.SetParallel(true)
 	e := core.NewEngine(g0)
 	for {
 		live := s.LiveNodes()
@@ -261,7 +257,6 @@ func TestDisjointBatchRoundScaling(t *testing.T) {
 	{
 		g, hubs := disjointStars(1, d)
 		s := NewSimulation(g)
-		s.SetParallel(true)
 		if err := s.Delete(hubs[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +268,6 @@ func TestDisjointBatchRoundScaling(t *testing.T) {
 	for _, k := range []int{2, 4, 8, 16} {
 		g, hubs := disjointStars(k, d)
 		s := NewSimulation(g)
-		s.SetParallel(true)
 		e := core.NewEngine(g)
 		if err := s.DeleteBatch(hubs); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -309,7 +303,6 @@ func TestDisjointBatchRoundScaling(t *testing.T) {
 func TestCollidingBatchSerializes(t *testing.T) {
 	g0 := graph.Star(16)
 	s := NewSimulation(g0)
-	s.SetParallel(true)
 	e := core.NewEngine(g0)
 	batch := []NodeID{0, 1, 2}
 	if err := s.DeleteBatch(batch); err != nil {
@@ -341,7 +334,6 @@ func TestCollidingBatchSerializes(t *testing.T) {
 func TestCollidingHubBatchMatchesCore(t *testing.T) {
 	g0 := graph.PreferentialAttachment(48, 3, rand.New(rand.NewSource(5)))
 	s := NewSimulation(g0)
-	s.SetParallel(true)
 	e := core.NewEngine(g0)
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 12; i++ {
@@ -500,36 +492,6 @@ func TestBatchBetweenCoalescedSubmits(t *testing.T) {
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBatchSequentialVsParallelDelivery: both delivery modes must
-// produce identical graphs and stats for the same batch schedule.
-func TestBatchSequentialVsParallelDelivery(t *testing.T) {
-	g0 := graph.PreferentialAttachment(32, 3, rand.New(rand.NewSource(31)))
-	seq := NewSimulation(g0)
-	par := NewSimulation(g0)
-	par.SetParallel(true)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 6; i++ {
-		live := seq.LiveNodes()
-		if len(live) == 0 {
-			break
-		}
-		batch := pickBatch(live, rng, 1+rng.Intn(4))
-		if err := seq.DeleteBatch(batch); err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		if err := par.DeleteBatch(batch); err != nil {
-			t.Fatalf("parallel: %v", err)
-		}
-		if seq.LastBatch() != par.LastBatch() {
-			t.Fatalf("batch %v: stats diverge between delivery modes: %+v vs %+v",
-				batch, seq.LastBatch(), par.LastBatch())
-		}
-		if !seq.Physical().Equal(par.Physical()) {
-			t.Fatalf("batch %v: graphs diverge between delivery modes", batch)
-		}
 	}
 }
 

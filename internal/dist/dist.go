@@ -150,7 +150,6 @@ type Simulation struct {
 	minCap    int
 	spread    bool
 
-	parallel  bool
 	last      RecoveryStats
 	lastBatch BatchStats
 
@@ -318,12 +317,6 @@ func (s *Simulation) addProcessor(v NodeID) {
 		s.armAuditTick(v)
 	}
 }
-
-// SetParallel switches between sequential message delivery (default,
-// the measurement mode) and a goroutine per processor per round. Both
-// modes produce identical results; handlers only touch their own
-// processor's state.
-func (s *Simulation) SetParallel(on bool) { s.parallel = on }
 
 // SetBandwidth caps every network edge at the given number of
 // message-words per round (0, the default, is unlimited — the paper's
@@ -546,14 +539,6 @@ func (s *Simulation) removeProcessor(v NodeID) {
 	delete(s.alive, v)
 	s.dead[v] = struct{}{}
 	delete(s.procs, v)
-	if s.auditOn {
-		// The dead processor's standing audit tick must go with it, or
-		// netQuiet's "one armed tick per live processor" count drifts
-		// (simnet discards a removed node's timers only at fire time).
-		if tc, ok := netAs[interface{ CancelTimers(NodeID) int }](s.net); ok {
-			tc.CancelTimers(v)
-		}
-	}
 	s.net.RemoveNode(v)
 	// Physical edges into v from OTHER processors' records (parent-link
 	// images owned by survivors) may still carry positive multiplicity;
@@ -661,18 +646,4 @@ func (s *Simulation) roundBound() int {
 		s.bound, s.boundDirty = bound, false
 	}
 	return s.bound
-}
-
-// step advances the transport one pulse in the current delivery mode.
-// Parallel mode is a capability: transports that cannot offer an
-// observationally-identical concurrent round (only simnet can) just
-// run their ordinary pulse — channet is concurrent by construction,
-// and the wire backend's Pulse is one full fabric drain.
-func (s *Simulation) step() int {
-	if s.parallel {
-		if ps, ok := netAs[transport.ParallelStepper](s.net); ok {
-			return ps.ParallelStep()
-		}
-	}
-	return s.net.Pulse().Delivered
 }

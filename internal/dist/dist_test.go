@@ -114,31 +114,6 @@ func TestIsolatedNodeDeletion(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	run := func(parallel bool) (RecoveryStats, *graph.Graph) {
-		s := NewSimulation(graph.Star(12))
-		s.SetParallel(parallel)
-		if err := s.Delete(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Delete(5); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		return s.LastRecovery(), s.Physical()
-	}
-	seqStats, seqPhys := run(false)
-	parStats, parPhys := run(true)
-	if seqStats != parStats {
-		t.Fatalf("modes diverge: %+v vs %+v", seqStats, parStats)
-	}
-	if !seqPhys.Equal(parPhys) {
-		t.Fatal("parallel and sequential healed graphs differ")
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() *graph.Graph {
 		s := NewSimulation(graph.Grid(4, 4))

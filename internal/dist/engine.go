@@ -217,7 +217,7 @@ func (s *Simulation) Submit(ops ...Op) error {
 // It reports whether the engine still has work (pending operations,
 // in-flight repairs, or queued traffic).
 func (s *Simulation) Tick() bool {
-	s.step()
+	s.net.Pulse()
 	s.afterRound()
 	if s.coalesceOn && len(s.pending) > 0 {
 		s.tickHolds()
@@ -353,7 +353,7 @@ func (s *Simulation) flushObserver() {
 
 // afterRound processes the round's in-band repair completions and
 // re-attempts admissions. Completions are drained in sorted epoch
-// order, so both delivery modes produce identical schedules.
+// order, so every backend produces the same schedule.
 func (s *Simulation) afterRound() {
 	dones := s.done.take()
 	if len(dones) == 0 {

@@ -125,34 +125,31 @@ func TestEquivalenceDeleteOnly(t *testing.T) {
 
 // TestEquivalenceAdversarialHubs kills highest-degree nodes — the
 // attack that maximizes Reconstruction Tree churn — and cross-checks
-// every step in both delivery modes.
+// every step.
 func TestEquivalenceAdversarialHubs(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		g0 := graph.PreferentialAttachment(32, 3, rand.New(rand.NewSource(17)))
-		s := NewSimulation(g0)
-		s.SetParallel(parallel)
-		e := core.NewEngine(g0)
-		for i := 0; i < 16; i++ {
-			phys := s.Physical()
-			live := s.LiveNodes()
-			best, bestDeg := live[0], -1
-			for _, u := range live {
-				if d := phys.Degree(u); d > bestDeg {
-					best, bestDeg = u, d
-				}
-			}
-			if err := s.Delete(best); err != nil {
-				t.Fatalf("dist delete %d: %v", best, err)
-			}
-			if err := e.Delete(best); err != nil {
-				t.Fatalf("core delete %d: %v", best, err)
-			}
-			if !s.Physical().Equal(e.Physical()) {
-				t.Fatalf("parallel=%v: after hub delete %d: healed graphs diverge", parallel, best)
+	g0 := graph.PreferentialAttachment(32, 3, rand.New(rand.NewSource(17)))
+	s := NewSimulation(g0)
+	e := core.NewEngine(g0)
+	for i := 0; i < 16; i++ {
+		phys := s.Physical()
+		live := s.LiveNodes()
+		best, bestDeg := live[0], -1
+		for _, u := range live {
+			if d := phys.Degree(u); d > bestDeg {
+				best, bestDeg = u, d
 			}
 		}
-		if err := s.Verify(); err != nil {
-			t.Fatal(err)
+		if err := s.Delete(best); err != nil {
+			t.Fatalf("dist delete %d: %v", best, err)
 		}
+		if err := e.Delete(best); err != nil {
+			t.Fatalf("core delete %d: %v", best, err)
+		}
+		if !s.Physical().Equal(e.Physical()) {
+			t.Fatalf("after hub delete %d: healed graphs diverge", best)
+		}
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,9 +32,7 @@ func FuzzHeterogeneousCaps(f *testing.F) {
 
 		g0 := graph.Grid(4, 4) // 16 nodes, ids 0..15
 		limited := NewSimulation(g0)
-		limited.SetParallel(true)
 		unlimited := NewSimulation(g0)
-		unlimited.SetParallel(true)
 
 		// Bits 0..1: global cap (0 = unlimited, else 1..3); bit 2:
 		// pacing off; bits 3..5: every (1+k)-th node clamped to 1

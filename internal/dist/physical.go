@@ -22,7 +22,7 @@ import (
 // (links cut by death notifications, strip detachments and retirements,
 // merge-plan link instructions) append to the owning processor's
 // private edit log — handlers never touch shared state, which is what
-// keeps the goroutine-per-processor parallel delivery mode race-free —
+// keeps channet's goroutine-per-processor delivery race-free —
 // and the simulation drains the logs of the processors that actually
 // logged something after each quiescent run. Verify cross-checks the
 // maintained graph against a from-scratch reconstruction.
@@ -30,7 +30,7 @@ import (
 // dirtyList tracks which processors have pending physical-graph edits,
 // so draining touches only them instead of sweeping every processor.
 // The mutex serializes first-edit registrations from concurrent handler
-// goroutines in parallel delivery mode.
+// goroutines on channet.
 type dirtyList struct {
 	mu    sync.Mutex
 	procs []*processor

@@ -38,7 +38,7 @@ type helperRec struct {
 // maintained physical graph: the tree-edge image (owner, peer) appeared
 // or disappeared because this processor's record changed a parent link.
 // Handlers append to their own processor's log — never to shared state,
-// which is what keeps the parallel delivery mode race-free — and the
+// which is what keeps channet's concurrent delivery race-free — and the
 // simulation drains the logs after each quiescent run.
 type physEdit struct {
 	add  bool
@@ -47,7 +47,7 @@ type physEdit struct {
 
 // processor is one node of the distributed simulation. Its handler may
 // touch only its own fields (plus the messages it sends), which is what
-// makes the goroutine-per-processor parallel delivery mode safe.
+// makes channet's goroutine-per-processor delivery safe.
 type processor struct {
 	id   NodeID
 	nbrs map[NodeID]struct{} // G′ neighbors, live or dead
@@ -209,9 +209,9 @@ type outMsg struct {
 
 // doneList collects (epoch, leader) pairs for repairs whose completion
 // the leader just proved in-band. Like dirtyList, the mutex serializes
-// registrations from concurrent handler goroutines in parallel
-// delivery mode; the engine drains and sorts it after every round, so
-// both delivery modes process completions in the same order.
+// registrations from concurrent handler goroutines on channet; the
+// engine drains and sorts it after every round, so every backend
+// processes completions in the same order.
 type doneList struct {
 	mu      sync.Mutex
 	entries []doneEntry
@@ -600,8 +600,8 @@ func (p *processor) rollOutRound(n transport.Endpoint) {
 // markTouched registers this processor for the next incremental
 // verification pass; handlers call it whenever a record is created,
 // deleted, or relinked. Registration goes through the same mutex-
-// guarded list mechanism as the physical-edit log, so the parallel
-// delivery mode stays race-free.
+// guarded list mechanism as the physical-edit log, so channet's
+// concurrent delivery stays race-free.
 func (p *processor) markTouched() {
 	if p.touched {
 		return

@@ -251,7 +251,6 @@ func lopsidedStars(small, big int) (*graph.Graph, []NodeID) {
 func TestRepairCompletesDuringElection(t *testing.T) {
 	g0, hubs := lopsidedStars(2, 48)
 	s := NewSimulation(g0)
-	s.SetParallel(true)
 	e := core.NewEngine(g0)
 	if err := s.DeleteBatch(hubs); err != nil {
 		t.Fatal(err)
@@ -314,7 +313,6 @@ func TestBatchEpochsFinishOutOfOrder(t *testing.T) {
 	single := func(d int) int {
 		gg, hh := lopsidedStars(2, d)
 		ss := NewSimulation(gg)
-		ss.SetParallel(true)
 		if err := ss.Delete(hh[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +320,6 @@ func TestBatchEpochsFinishOutOfOrder(t *testing.T) {
 	}(40)
 
 	s := NewSimulation(g)
-	s.SetParallel(true)
 	e := core.NewEngine(g)
 	if err := s.DeleteBatch(hubs); err != nil {
 		t.Fatal(err)

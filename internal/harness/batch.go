@@ -52,7 +52,6 @@ func expBatch(o Options) []metrics.Table {
 		for _, k := range ks {
 			rng := rand.New(rand.NewSource(o.Seed + int64(100*k)))
 			s := dist.NewSimulation(graph.PreferentialAttachment(n, 3, rng))
-			s.SetParallel(true)
 			view := distBatchView{s}
 			var rounds, waves, groups, msgs, dels float64
 			ran := 0

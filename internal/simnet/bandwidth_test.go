@@ -194,15 +194,12 @@ func TestPerEdgeBandwidthOverride(t *testing.T) {
 }
 
 // TestBandwidthDeterministicOrder runs the same congested script twice
-// through Step and once through ParallelStep. The sequential runs must
-// produce the identical global delivery sequence; the parallel run
-// (whose handlers for different receivers run concurrently) must match
-// per receiver — the observational-equivalence guarantee ParallelStep
-// makes.
+// through Step: the runs must produce the identical delivery sequence
+// at every receiver.
 func TestBandwidthDeterministicOrder(t *testing.T) {
-	script := func(step func(n *Network) int) [5][]delivery {
+	script := func() [5][]delivery {
 		n := New()
-		var logs [5][]delivery // one slot per receiver: race-free in parallel mode
+		var logs [5][]delivery // one slot per receiver
 		for _, id := range []NodeID{1, 2, 3} {
 			id := id
 			n.AddNode(id, func(net transport.Endpoint, m Message) {
@@ -224,18 +221,14 @@ func TestBandwidthDeterministicOrder(t *testing.T) {
 		n.Send(7, 1, "f", 1)
 		n.Send(9, 2, "g", 1)
 		for i := 0; i < 12 && n.Pending() > 0; i++ {
-			step(n)
+			n.Step()
 		}
 		return logs
 	}
-	a := script((*Network).Step)
-	b := script((*Network).Step)
-	c := script((*Network).ParallelStep)
+	a := script()
+	b := script()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two sequential runs diverge:\n%v\n%v", a, b)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatalf("parallel delivery diverges under spill-over:\n%v\n%v", a, c)
+		t.Fatalf("two runs diverge:\n%v\n%v", a, b)
 	}
 }
 

@@ -70,19 +70,9 @@ const (
 	ClassAudit = transport.ClassAudit
 )
 
-// Network implements transport.Transport (and the optional
-// ParallelStepper extension) as the deterministic round-synchronous
-// measurement backend.
-var (
-	_ transport.Transport       = (*Network)(nil)
-	_ transport.ParallelStepper = (*Network)(nil)
-)
-
-// futureMsg is a timer waiting for its due round.
-type futureMsg struct {
-	due int
-	msg Message
-}
+// Network implements transport.Transport as the deterministic
+// round-synchronous measurement backend.
+var _ transport.Transport = (*Network)(nil)
 
 // edgeKey identifies a directed edge for capacity accounting. Capacity
 // is directional: the two directions of a link are separate channels.
@@ -94,8 +84,8 @@ type edgeKey struct {
 // rounds. The zero value is not usable; construct with New.
 type Network struct {
 	handlers map[NodeID]Handler
-	queue    []Message   // to be delivered at the next Step
-	future   []futureMsg // timers scheduled further ahead
+	queue    []Message        // to be delivered at the next Step
+	timers   transport.Timers // armed timers, due by round number
 	round    int
 	seq      int
 
@@ -170,35 +160,7 @@ func (n *Network) RemoveNode(id NodeID) {
 		keepQ = append(keepQ, m)
 	}
 	n.queue = keepQ
-	keepF := n.future[:0]
-	for _, t := range n.future {
-		if t.msg.From == id {
-			continue
-		}
-		keepF = append(keepF, t)
-	}
-	n.future = keepF
-}
-
-// CancelTimers discards every armed timer owned by one processor,
-// returning how many were cancelled. Timers are local wake-ups — a
-// dead processor's pending wake-ups are meaningless — but by default
-// they linger in the future queue until their due round (where the
-// missing handler drops them). Drivers that keep standing per-node
-// timers (the audit layer's periodic ticks) cancel them eagerly at
-// removal so Pending reflects only live processors' wake-ups.
-func (n *Network) CancelTimers(id NodeID) int {
-	cancelled := 0
-	keep := n.future[:0]
-	for _, t := range n.future {
-		if t.msg.From == id {
-			cancelled++
-			continue
-		}
-		keep = append(keep, t)
-	}
-	n.future = keep
-	return cancelled
+	n.timers.RemoveOwner(id)
 }
 
 // HasNode reports whether a processor is registered.
@@ -364,8 +326,7 @@ func (n *Network) SendTimer(node NodeID, payload any, delay int) {
 		panic(fmt.Sprintf("simnet: timer with delay %d", delay))
 	}
 	n.seq++
-	m := Message{From: node, To: node, Payload: payload, Timer: true, Seq: n.seq}
-	n.future = append(n.future, futureMsg{due: n.round + delay, msg: m})
+	n.timers.Arm(node, int64(n.round+delay), n.seq, payload)
 }
 
 // Step advances one round: it delivers everything queued for this round,
@@ -379,17 +340,7 @@ func (n *Network) Step() int {
 	// already-sized array instead of reallocating from nil every round.
 	n.queue = n.spare[:0]
 	n.spare = nil
-	// Move due timers into the batch; survivors are compacted in place.
-	keep := n.future[:0]
-	for _, t := range n.future {
-		if t.due <= n.round {
-			batch = append(batch, t.msg)
-		} else {
-			keep = append(keep, t)
-		}
-	}
-	n.future = keep
-
+	batch = n.timers.PopDue(int64(n.round), batch)
 	if len(batch) == 0 {
 		n.spare = batch
 		return 0
@@ -470,23 +421,19 @@ func (n *Network) bookDelivery(m Message, classes *roundClasses) {
 // and an error if the bound was hit with traffic still pending.
 func (n *Network) RunUntilQuiescent(maxRounds int) (int, error) {
 	start := n.round
-	for len(n.queue) > 0 || len(n.future) > 0 {
+	for n.Pending() > 0 {
 		if n.round-start >= maxRounds {
-			return n.round - start, errNotQuiescent(maxRounds, len(n.queue), len(n.future))
+			return n.round - start, fmt.Errorf("simnet: not quiescent after %d rounds (%d queued, %d timers)",
+				maxRounds, len(n.queue), n.timers.Len())
 		}
 		n.Step()
 	}
 	return n.round - start, nil
 }
 
-func errNotQuiescent(maxRounds, queued, timers int) error {
-	return fmt.Errorf("simnet: not quiescent after %d rounds (%d queued, %d timers)",
-		maxRounds, queued, timers)
-}
-
 // Pending reports how many messages and timers are waiting for
 // delivery, messages deferred by the bandwidth limit included.
-func (n *Network) Pending() int { return len(n.queue) + len(n.future) }
+func (n *Network) Pending() int { return len(n.queue) + n.timers.Len() }
 
 // PendingWords sums the sizes of all waiting network messages,
 // bandwidth-deferred backlog included (timers are free and count 0).

@@ -74,11 +74,10 @@ type Driver interface {
 }
 
 // Unwrapper is implemented by Driver adapters that wrap a Transport.
-// Capability probing (CancelTimers, SkewClock, Validate, parallel
-// stepping) must reach the *backend*, not the adapter, so probes
-// type-assert on the Driver first and then on Unwrap's result; an
-// adapter must not blanket-forward optional methods its backend does
-// not have.
+// Capability probing (SkewClock, Validate, WorkerPIDs) must reach the
+// *backend*, not the adapter, so probes type-assert on the Driver
+// first and then on Unwrap's result; an adapter must not
+// blanket-forward optional methods its backend does not have.
 type Unwrapper interface {
 	Unwrap() Transport
 }

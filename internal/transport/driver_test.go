@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/channet"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -67,7 +68,8 @@ func TestSyncDriverShim(t *testing.T) {
 
 	// The shim must not impersonate backend capabilities: probes reach
 	// the backend through Unwrap, and the wrapped simnet is returned
-	// identically.
+	// identically. simnet has no Validate, so the shim must not offer
+	// one; a wrapped channet, which has it, must still be reachable.
 	uw, ok := d.(transport.Unwrapper)
 	if !ok {
 		t.Fatal("sync shim does not implement Unwrapper")
@@ -75,8 +77,13 @@ func TestSyncDriverShim(t *testing.T) {
 	if uw.Unwrap() != transport.Transport(net) {
 		t.Fatal("Unwrap did not return the wrapped backend")
 	}
-	if _, ok := uw.Unwrap().(transport.ParallelStepper); !ok {
-		t.Fatal("unwrapped simnet lost its ParallelStepper capability")
+	type validator interface{ Validate() error }
+	if _, ok := d.(validator); ok {
+		t.Fatal("sync shim offers Validate, which its simnet backend lacks")
+	}
+	cd := transport.NewDriver(channet.New())
+	if _, ok := cd.(transport.Unwrapper).Unwrap().(validator); !ok {
+		t.Fatal("unwrapped channet lost its Validate capability")
 	}
 
 	// A Driver passed to NewDriver comes back unchanged.

@@ -8,6 +8,17 @@ import (
 	"repro/internal/transport"
 )
 
+// backends are the in-process Transports every conformance test runs
+// on; the wire hub mirrors these tests in internal/wirenet.
+var backends = []struct {
+	name string
+	make func() transport.Transport
+}{
+	{"simnet", func() transport.Transport { return simnet.New() }},
+	{"channet", func() transport.Transport { return channet.New() }},
+	{"channet-seeded", func() transport.Transport { return channet.NewSeeded(1) }},
+}
+
 // TestDroppedCountingPoint pins the normalized Dropped accounting every
 // backend must follow: a message is counted at the earliest point the
 // backend knows its target is dead — at RemoveNode for messages already
@@ -15,14 +26,6 @@ import (
 // same script must produce identical Dropped/Pending readings on every
 // backend at every observation point, not merely the same final total.
 func TestDroppedCountingPoint(t *testing.T) {
-	backends := []struct {
-		name string
-		make func() transport.Transport
-	}{
-		{"simnet", func() transport.Transport { return simnet.New() }},
-		{"channet", func() transport.Transport { return channet.New() }},
-		{"channet-seeded", func() transport.Transport { return channet.NewSeeded(1) }},
-	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			n := b.make()

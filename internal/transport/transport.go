@@ -154,8 +154,8 @@ type Stats struct {
 }
 
 // Endpoint is the narrow interface handlers (and the driver's message-
-// injection paths) use to originate traffic. Both Transport
-// implementations and simnet's per-round shadow networks satisfy it.
+// injection paths) use to originate traffic. Every Transport
+// implementation satisfies it.
 type Endpoint interface {
 	// Send enqueues a message for asynchronous delivery. Words must
 	// reflect the payload size in O(log n)-bit words and be at least 1.
@@ -247,12 +247,4 @@ type Transport interface {
 	// performed. Repeatedly calling Step drains Pending to zero in
 	// finite pulses for any terminating protocol.
 	Step() int
-}
-
-// ParallelStepper is implemented by transports that offer an
-// observationally-identical concurrent variant of Step (simnet's
-// shadow-network ParallelStep). The dist driver type-asserts for it
-// when parallel mode is requested.
-type ParallelStepper interface {
-	ParallelStep() int
 }

@@ -92,15 +92,6 @@ type outFrame struct {
 	words int
 }
 
-// timerRec is an armed logical-clock timer (hub-local; timers never
-// cross the wire).
-type timerRec struct {
-	owner NodeID
-	due   int64
-	seq   int
-	msg   transport.Message
-}
-
 // workerProc is one live worker process.
 type workerProc struct {
 	shard, gen int
@@ -137,7 +128,8 @@ type Hub struct {
 
 	handlers map[NodeID]transport.Handler
 	clocks   map[NodeID]int64
-	timers   []timerRec
+	timers   transport.Timers // hub-local: timers never cross the wire
+	fired    []transport.Message
 
 	round int
 	seq   int
@@ -445,34 +437,13 @@ func (h *Hub) RemoveNode(id NodeID) {
 		delete(h.outstanding, e)
 		delete(h.hold, e)
 	}
-	kept := h.timers[:0]
-	for _, t := range h.timers {
-		if t.owner != id {
-			kept = append(kept, t)
-		}
-	}
-	h.timers = kept
+	h.timers.RemoveOwner(id)
 }
 
 // HasNode reports whether a processor is registered.
 func (h *Hub) HasNode(id NodeID) bool {
 	_, ok := h.handlers[id]
 	return ok
-}
-
-// CancelTimers discards every armed timer owned by one processor.
-func (h *Hub) CancelTimers(id NodeID) int {
-	cancelled := 0
-	kept := h.timers[:0]
-	for _, t := range h.timers {
-		if t.owner == id {
-			cancelled++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	h.timers = kept
-	return cancelled
 }
 
 // SkewClock perturbs one processor's logical clock by delta (fault
@@ -492,10 +463,14 @@ func (h *Hub) Validate() error {
 			return fmt.Errorf("wirenet: processor %d has negative logical clock %d", id, c)
 		}
 	}
-	for _, t := range h.timers {
-		if _, ok := h.handlers[t.owner]; !ok {
-			return fmt.Errorf("wirenet: armed timer owned by unregistered processor %d", t.owner)
+	var err error
+	h.timers.EachOwner(func(owner NodeID) {
+		if _, ok := h.handlers[owner]; !ok {
+			err = fmt.Errorf("wirenet: armed timer owned by unregistered processor %d", owner)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	n := 0
 	for _, out := range h.outstanding {
@@ -567,8 +542,7 @@ func (h *Hub) SendTimer(owner NodeID, payload any, delay int) {
 		panic(fmt.Sprintf("wirenet: timer with delay %d", delay))
 	}
 	h.seq++
-	m := transport.Message{From: owner, To: owner, Payload: payload, Timer: true, Seq: h.seq}
-	h.timers = append(h.timers, timerRec{owner: owner, due: h.clocks[owner] + int64(delay), seq: m.Seq, msg: m})
+	h.timers.Arm(owner, h.clocks[owner]+int64(delay), h.seq, payload)
 }
 
 // EdgeBudget is always 0: wirenet has no bandwidth model.
@@ -599,7 +573,7 @@ func (h *Hub) SetNodeBandwidth(id NodeID, words int) {
 }
 
 // Pending reports undelivered messages plus armed timers.
-func (h *Hub) Pending() int { return h.inflight + len(h.timers) }
+func (h *Hub) Pending() int { return h.inflight + h.timers.Len() }
 
 // PendingWords sums the sizes of all undelivered network messages.
 func (h *Hub) PendingWords() int {
@@ -778,49 +752,27 @@ func (h *Hub) deliver(e edgeKey, m wmsg) {
 }
 
 // fireEarliest delivers the earliest-due timer batch (all timers tied
-// at the minimum due), ordered by (owner, seq), stamping each owner's
+// at the minimum due) in (owner, seq) order, stamping each owner's
 // clock to at least its due tick — channet's exact semantics, except
 // the handler runs inline (timers never enter the fabric).
 func (h *Hub) fireEarliest() int {
-	if len(h.timers) == 0 {
-		return 0
-	}
-	min := h.timers[0].due
-	for _, t := range h.timers[1:] {
-		if t.due < min {
-			min = t.due
-		}
-	}
-	var batch []timerRec
-	kept := h.timers[:0]
-	for _, t := range h.timers {
-		if t.due == min {
-			batch = append(batch, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	h.timers = kept
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].owner != batch[j].owner {
-			return batch[i].owner < batch[j].owner
-		}
-		return batch[i].seq < batch[j].seq
-	})
+	batch, due := h.timers.PopEarliest(h.fired[:0])
 	fired := 0
-	for _, t := range batch {
-		hd, ok := h.handlers[t.owner]
+	for _, m := range batch {
+		hd, ok := h.handlers[m.From]
 		if !ok {
-			continue // unreachable: purged at RemoveNode
+			continue // armed for a processor never registered
 		}
-		at := t.due - 1
-		if c := h.clocks[t.owner]; at > c {
-			h.clocks[t.owner] = at
+		at := due - 1
+		if c := h.clocks[m.From]; at > c {
+			h.clocks[m.From] = at
 		}
-		h.clocks[t.owner]++
-		hd(h, t.msg)
+		h.clocks[m.From]++
+		hd(h, m)
 		fired++
 	}
+	clear(batch)
+	h.fired = batch[:0]
 	return fired
 }
 

@@ -2,6 +2,7 @@ package wirenet
 
 import (
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -177,6 +178,51 @@ func TestHubTimers(t *testing.T) {
 	}
 	if h.Pending() != 0 {
 		t.Fatalf("Pending = %d after both timers", h.Pending())
+	}
+}
+
+// TestHubTimerOrder mirrors transport's TestTimerFiringOrder: tied and
+// distinct dues armed in scrambled order over three processors, one
+// removed between pulses, and the survivors firing one due per pulse
+// in (due, owner, seq) order — the hub runs timer handlers inline, so
+// the order is exact, not only per owner.
+func TestHubTimerOrder(t *testing.T) {
+	h := newTestHub(t, 2)
+	var fired []string
+	for _, id := range []NodeID{1, 2, 3} {
+		h.AddNode(id, func(_ transport.Endpoint, m transport.Message) {
+			fired = append(fired, m.Payload.(string))
+		})
+	}
+	arms := []struct {
+		owner NodeID
+		name  string
+		delay int
+	}{
+		{3, "3a", 2}, {1, "1a", 3}, {2, "2a", 2}, {1, "1b", 2},
+		{3, "3b", 1}, {2, "2b", 3}, {1, "1c", 2}, {2, "2c", 1},
+	}
+	for _, a := range arms {
+		h.SendTimer(a.owner, a.name, a.delay)
+	}
+	want := [][]string{{"2c", "3b"}, {"1b", "1c", "2a"}, {"1a", "2b"}}
+	for i, w := range want {
+		fired = nil
+		if d := h.Pulse().Delivered; d != len(w) || !reflect.DeepEqual(fired, w) {
+			t.Fatalf("pulse %d delivered %d, fired %v, want %v", i+1, d, fired, w)
+		}
+		if i == 0 {
+			h.RemoveNode(3) // takes 3a with it
+			if p := h.Pending(); p != 5 {
+				t.Fatalf("Pending = %d after removing processor 3, want 5", p)
+			}
+		}
+	}
+	if p := h.Pending(); p != 0 {
+		t.Fatalf("Pending = %d after the last timer", p)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

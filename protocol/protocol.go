@@ -276,11 +276,6 @@ func (n *Network) Close() error { return n.s.Close() }
 // workers (TransportWire), or nil on the in-process transports.
 func (n *Network) WorkerPIDs() []int { return n.s.WorkerPIDs() }
 
-// SetParallel switches between sequential message delivery (default,
-// the measurement mode) and a goroutine per processor per round. Both
-// modes produce identical results.
-func (n *Network) SetParallel(on bool) { n.s.SetParallel(on) }
-
 // SetBandwidth caps every network edge at the given number of
 // message-words per round (0, the default, is unlimited — the paper's
 // model). Excess traffic queues FIFO per edge and spills into later

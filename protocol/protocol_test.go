@@ -75,26 +75,6 @@ func TestInsertAndAccessors(t *testing.T) {
 	}
 }
 
-func TestParallelToggle(t *testing.T) {
-	run := func(parallel bool) RepairCost {
-		net, err := New(star(12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.SetParallel(parallel)
-		if err := net.Delete(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		return net.LastRepair()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("modes diverge: %+v vs %+v", a, b)
-	}
-}
-
 func TestDeleteBatch(t *testing.T) {
 	// Two stars joined by a long path: the two hubs damage disjoint
 	// regions, so their repairs overlap in a single wave.
