@@ -10,8 +10,8 @@
 //   - Down-probes: a helper asks each child it lists to report its
 //     audited fields (kind, height, leaf count, representative) and the
 //     parent it records. Matching replies let the helper recompute its
-//     own aggregates exactly as verify.go's checkRepresentatives does;
-//     a child that answers "gone" twice marks that side suspect.
+//     own aggregates exactly as checkRepresentatives (verify_delta.go)
+//     does; a child that answers "gone" twice marks that side suspect.
 //   - Up-claims: a record asks the parent it stores to confirm the
 //     link. A parent that denies (or is missing) twice proves the
 //     stored parent dangling; the record clears it, and the true

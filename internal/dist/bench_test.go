@@ -261,23 +261,26 @@ func BenchmarkCoalescedChurn(b *testing.B) {
 	}
 }
 
+// churnedNetwork is the state BenchmarkPhysicalSnapshot and
+// BenchmarkVerify measure: powerlaw-2048 after 64 random deletions.
+func churnedNetwork(b *testing.B) *Simulation {
+	s := NewSimulation(graph.PreferentialAttachment(2048, 3, rand.New(rand.NewSource(7))))
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 64; i++ {
+		live := s.LiveNodes()
+		if err := s.Delete(live[rng.Intn(len(live))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
 // BenchmarkPhysicalSnapshot pins the win of the incrementally
 // maintained physical graph: snapshotting it versus reconstructing it
 // from every record of every processor, on a churned network.
 func BenchmarkPhysicalSnapshot(b *testing.B) {
-	build := func() *Simulation {
-		s := NewSimulation(graph.PreferentialAttachment(2048, 3, rand.New(rand.NewSource(7))))
-		rng := rand.New(rand.NewSource(8))
-		for i := 0; i < 64; i++ {
-			live := s.LiveNodes()
-			if err := s.Delete(live[rng.Intn(len(live))]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s
-	}
 	b.Run("incremental", func(b *testing.B) {
-		s := build()
+		s := churnedNetwork(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -287,12 +290,44 @@ func BenchmarkPhysicalSnapshot(b *testing.B) {
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		s := build()
+		s := churnedNetwork(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if s.rebuildPhysical().NumNodes() == 0 {
 				b.Fatal("empty snapshot")
+			}
+		}
+	})
+}
+
+// BenchmarkVerify times the two verification scopes over the same
+// churned network: full is Verify; delta-all marks every processor
+// touched (untimed) and runs VerifyDelta(0), the same record checker
+// without the global checks.
+func BenchmarkVerify(b *testing.B) {
+	b.Run("full", func(b *testing.B) {
+		s := churnedNetwork(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Verify(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("delta-all", func(b *testing.B) {
+		s := churnedNetwork(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for _, p := range s.procs {
+				p.markTouched()
+			}
+			b.StartTimer()
+			if err := s.VerifyDelta(0); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -36,10 +36,11 @@ import "fmt"
 //     so live processors are G′-connected exactly when they are
 //     physically connected.
 //
-// The full Verify stays authoritative: it cross-checks each tracker
-// against a from-scratch BFS partition (Components.Check) and still
-// runs the independent checkConnectivity sweep, so a certificate bug
-// can never vouch for itself. The audit layer treats the certificate as
+// The full Verify stays authoritative: two of its global-only checks,
+// which no per-processor pass can make, cross-check each tracker
+// against a from-scratch BFS partition (Components.Check) and run the
+// independent checkConnectivity sweep, so a certificate bug can never
+// vouch for itself. The audit layer treats the certificate as
 // driver state it owns: a background sweep (auditCertSweep) re-checks
 // the O(1) count equality plus a small round-robin batch of per-node
 // label consistency each idle tick, and heals any detected corruption

@@ -2,9 +2,12 @@
 // Corrupt perturbs live processor state the way a transient fault
 // would: silently. No markTouched, no physical-graph log — a bit flip
 // updates no bookkeeping — which is exactly why the incremental
-// VerifyDelta cannot see these faults (it revisits only touched
-// processors) and the full Verify, the neighbor exchanges of the audit
-// layer, or nothing at all will.
+// VerifyDelta cannot see these faults (it runs the record checker only
+// on touched and sampled processors) and the full Verify, the neighbor
+// exchanges of the audit layer, or nothing at all will. Verify runs the
+// same record checker on every processor, then the checks only a
+// global pass can make (processor set, physical-graph reconstruction,
+// certificate partitions, degree tracker, connectivity).
 //
 // Injection is driver-side and deterministic for a given rng stream:
 // candidates are enumerated in canonical order (live processors

@@ -817,7 +817,8 @@ func (s *Simulation) deleteRegion(v NodeID) map[NodeID]struct{} {
 
 // lookupRecord reads one record driver-side: its parent link, the
 // helper record when a names a helper, and whether the record exists
-// at all (it may not, mid-repair).
+// at all (it may not, mid-repair). It is the one record accessor of
+// region computation and of the record checker (verify_delta.go).
 func (s *Simulation) lookupRecord(a addr) (parent addr, h *helperRec, ok bool) {
 	p, alive := s.procs[a.Owner]
 	if !alive {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/haft"
 )
 
-// Incremental verification.
+// Incremental verification, and the record checker both scopes share.
 //
 // Verify revalidates the whole network from scratch — O(n) work that
 // dominates soak runs at n ≥ 10⁵, where a checkpoint only ever follows
@@ -15,18 +15,20 @@ import (
 // processors whose records changed since the last verification (full
 // or delta): handlers register in the touchers list on their first
 // mutation, the same mechanism the incremental physical graph uses for
-// its edit logs. For every touched processor the record-level
-// invariants are re-checked, and every Reconstruction Tree holding one
-// of its records is re-validated wholesale (shape, census, link
+// its edit logs. Both run one record checker, checkRecords: a
+// processor's record-level invariants, then every Reconstruction Tree
+// holding one of its records, re-validated wholesale (haft shape, link
 // mutuality, representatives) by climbing to the root and rebuilding
-// the subtree — O(changed region), not O(n).
+// the subtree. The delta pass runs it on the touched processors —
+// O(changed region), not O(n) — and Verify on all of them.
 //
-// The full check stays authoritative: it additionally proves global
-// properties a local pass cannot (physical-graph reconstruction
-// equality, G′ connectivity equivalence, census completeness across
-// ALL processors), so soak still runs it at the end — and the tests
-// cross-check that delta and full verification agree after every
-// operation.
+// The full check stays authoritative: it additionally proves the
+// global properties a local pass cannot (processor set equal to the
+// live set, physical-graph reconstruction equality, the certificate
+// against from-scratch partitions, the degree tracker against its
+// rebuild, G′ connectivity equivalence), so soak still runs it at the
+// end — and the tests cross-check that delta and full verification
+// agree after every operation.
 
 // VerifyDelta revalidates the records touched since the last
 // verification plus, opportunistically, up to sample additional live
@@ -56,7 +58,7 @@ func (s *Simulation) VerifyDelta(sample int) error {
 		if s.procs[p.id] != p {
 			continue // deleted since it was touched
 		}
-		if err := s.checkProcessorLocal(p); err != nil {
+		if err := s.checkRecords(p, checkedRoots); err != nil {
 			return err
 		}
 		if err := s.checkPhysIncident(p); err != nil {
@@ -65,15 +67,26 @@ func (s *Simulation) VerifyDelta(sample int) error {
 		if err := s.checkCertIncident(p); err != nil {
 			return err
 		}
-		for o := range p.leaves {
-			if err := s.checkRTContaining(leafAddr(p.id, o), checkedRoots); err != nil {
-				return err
-			}
+	}
+	return nil
+}
+
+// checkRecords is the record checker of both verification scopes: p's
+// record-level invariants, then every RT holding one of p's records.
+// checkedRoots spans one pass, so an RT shared by several checked
+// processors is rebuilt once.
+func (s *Simulation) checkRecords(p *processor, checkedRoots map[addr]struct{}) error {
+	if err := s.checkProcessorLocal(p); err != nil {
+		return err
+	}
+	for o := range p.leaves {
+		if err := s.checkRTContaining(leafAddr(p.id, o), checkedRoots); err != nil {
+			return err
 		}
-		for o := range p.helpers {
-			if err := s.checkRTContaining(helperAddr(p.id, o), checkedRoots); err != nil {
-				return err
-			}
+	}
+	for o := range p.helpers {
+		if err := s.checkRTContaining(helperAddr(p.id, o), checkedRoots); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -196,96 +209,74 @@ func (s *Simulation) checkProcessorLocal(p *processor) error {
 	return nil
 }
 
-// record fetches the leaf or helper record an address names, or an
-// error when the owner or record is missing.
-func (s *Simulation) record(a addr) (parent addr, h *helperRec, err error) {
-	p, ok := s.procs[a.Owner]
-	if !ok {
-		return addr{}, nil, fmt.Errorf("dist: node %v: owner not alive", a)
-	}
-	if a.Kind == kindLeaf {
-		l, ok := p.leaves[a.Other]
-		if !ok {
-			return addr{}, nil, fmt.Errorf("dist: no leaf record for %v", a)
-		}
-		return l.parent, nil, nil
-	}
-	rec, ok := p.helpers[a.Other]
-	if !ok {
-		return addr{}, nil, fmt.Errorf("dist: no helper record for %v", a)
-	}
-	return rec.parent, rec, nil
-}
-
 // checkRTContaining climbs from one record to its Reconstruction
 // Tree's root and re-validates that whole RT, skipping roots already
-// checked this pass. The climb is bounded: a parent chain longer than
+// checked this pass. Each step of the climb confirms the parent lists
+// the child, so the record is part of the RT rebuilt from the root —
+// an upward-only link would otherwise hide the record's own subtree
+// from every rebuild. The climb is bounded: a parent chain longer than
 // any valid RT's depth means a cycle or corruption.
 func (s *Simulation) checkRTContaining(a addr, checkedRoots map[addr]struct{}) error {
 	maxDepth := 4*haft.CeilLog2(s.gprime.NumNodes()+2) + 8
 	root := a
-	for steps := 0; ; steps++ {
+	parent, _, ok := s.lookupRecord(root)
+	if !ok {
+		return fmt.Errorf("dist: no record for %v", root)
+	}
+	for steps := 0; parent.ok(); steps++ {
 		if steps > maxDepth {
 			return fmt.Errorf("dist: parent chain from %v exceeds %d (cycle?)", a, maxDepth)
 		}
-		parent, _, err := s.record(root)
-		if err != nil {
-			return err
+		grand, h, ok := s.lookupRecord(parent)
+		if !ok || h == nil || (h.left != root && h.right != root) {
+			return fmt.Errorf("dist: node %v: parent field %v but no child link back", root, parent)
 		}
-		if !parent.ok() {
-			break
-		}
-		root = parent
+		root, parent = parent, grand
 	}
 	if _, done := checkedRoots[root]; done {
 		return nil
 	}
 	checkedRoots[root] = struct{}{}
-	node, leaves, helpers, err := s.reconstructRT(root, maxDepth)
+	node, err := s.reconstructRT(root, maxDepth)
 	if err != nil {
 		return err
 	}
 	if err := haft.Validate(node); err != nil {
 		return fmt.Errorf("dist: RT rooted at %v invalid: %w", root, err)
 	}
-	if !node.IsLeaf && helpers != leaves-1 {
-		return fmt.Errorf("dist: RT at %v with %d leaves has %d helpers, want %d",
-			root, leaves, helpers, leaves-1)
-	}
 	return s.checkRepresentatives(node)
 }
 
 // reconstructRT rebuilds the subtree under one address from the
-// distributed records, checking link mutuality on the way down.
-func (s *Simulation) reconstructRT(a addr, maxDepth int) (node *haft.Node, leaves, helpers int, err error) {
+// distributed records, checking link mutuality on the way down. Every
+// rebuilt helper has both children, so a rebuilt RT with L leaves has
+// exactly L-1 helpers: the census holds by construction.
+func (s *Simulation) reconstructRT(a addr, maxDepth int) (*haft.Node, error) {
 	if maxDepth < 0 {
-		return nil, 0, 0, fmt.Errorf("dist: RT under %v deeper than any valid haft (cycle?)", a)
+		return nil, fmt.Errorf("dist: RT under %v deeper than any valid haft (cycle?)", a)
 	}
-	if a.Kind == kindLeaf {
-		if _, _, err := s.record(a); err != nil {
-			return nil, 0, 0, err
-		}
-		return haft.NewLeaf(a.slot()), 1, 0, nil
+	_, h, ok := s.lookupRecord(a)
+	if !ok {
+		return nil, fmt.Errorf("dist: no record for %v", a)
 	}
-	_, h, err := s.record(a)
-	if err != nil {
-		return nil, 0, 0, err
+	if h == nil {
+		return haft.NewLeaf(a.slot()), nil
 	}
-	node = &haft.Node{Height: h.height, LeafCount: h.leafCount, Payload: a.slot()}
+	node := &haft.Node{Height: h.height, LeafCount: h.leafCount, Payload: a.slot()}
 	for dir, c := range [2]addr{h.left, h.right} {
 		if !c.ok() {
-			return nil, 0, 0, fmt.Errorf("dist: helper %v: missing child %d", a, dir)
+			return nil, fmt.Errorf("dist: helper %v: missing child %d", a, dir)
 		}
-		cParent, _, err := s.record(c)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("dist: helper %v: child %d: %w", a, dir, err)
+		cParent, _, ok := s.lookupRecord(c)
+		if !ok {
+			return nil, fmt.Errorf("dist: helper %v: child %d: no record for %v", a, dir, c)
 		}
 		if cParent != a {
-			return nil, 0, 0, fmt.Errorf("dist: node %v: parent field %v disagrees with child link from %v", c, cParent, a)
+			return nil, fmt.Errorf("dist: node %v: parent field %v disagrees with child link from %v", c, cParent, a)
 		}
-		child, cl, ch, err := s.reconstructRT(c, maxDepth-1)
+		child, err := s.reconstructRT(c, maxDepth-1)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		child.Parent = node
 		if dir == 0 {
@@ -293,15 +284,14 @@ func (s *Simulation) reconstructRT(a addr, maxDepth int) (node *haft.Node, leave
 		} else {
 			node.Right = child
 		}
-		leaves += cl
-		helpers += ch
 	}
-	return node, leaves, helpers + 1, nil
+	return node, nil
 }
 
 // checkRepresentatives re-derives every helper's representative within
-// one reconstructed RT and compares against the stored one — the same
-// check the full Verify runs, scoped to this tree.
+// one reconstructed RT and compares against the stored one: the unique
+// leaf of the helper's subtree simulating no helper located within that
+// subtree.
 func (s *Simulation) checkRepresentatives(root *haft.Node) error {
 	slotOf := func(n *haft.Node) slot { return n.Payload.(slot) }
 	for _, hn := range haft.Internal(root) {

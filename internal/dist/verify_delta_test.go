@@ -90,8 +90,8 @@ func churnedSim(t *testing.T) *Simulation {
 	return s
 }
 
-// touchedHelper returns some processor touched by the last repair that
-// simulates a helper, with the helper's slot key.
+// touchedHelper returns the first processor touched by the last repair
+// that simulates a helper, with its lowest helper slot key.
 func touchedHelper(t *testing.T, s *Simulation) (*processor, NodeID) {
 	t.Helper()
 	s.touchers.mu.Lock()
@@ -101,29 +101,165 @@ func touchedHelper(t *testing.T, s *Simulation) (*processor, NodeID) {
 		if s.procs[p.id] != p {
 			continue
 		}
-		for o := range p.helpers {
-			return p, o
+		if keys := sortedRecordKeys(p.helpers); len(keys) > 0 {
+			return p, keys[0]
 		}
 	}
 	t.Skip("no touched helper in this campaign")
 	return nil, 0
 }
 
-// TestVerifyDeltaCatchesCorruption corrupts records inside the touched
-// region in several distinct ways; the incremental pass must fail on
-// every one, like the full pass does.
+// recordAddrs lists every record in canonical order: processors
+// ascending, each one's leaves then helpers by slot.
+func recordAddrs(s *Simulation) []addr {
+	var out []addr
+	for _, id := range s.LiveNodes() {
+		p := s.procs[id]
+		for _, o := range sortedRecordKeys(p.leaves) {
+			out = append(out, leafAddr(id, o))
+		}
+		for _, o := range sortedRecordKeys(p.helpers) {
+			out = append(out, helperAddr(id, o))
+		}
+	}
+	return out
+}
+
+// rootOf climbs a healthy record's parent links to its RT root.
+func rootOf(s *Simulation, a addr) addr {
+	for {
+		parent, _, _ := s.lookupRecord(a)
+		if !parent.ok() {
+			return a
+		}
+		a = parent
+	}
+}
+
+// subtreeLeaves lists the leaf slots under a healthy record.
+func subtreeLeaves(s *Simulation, a addr) []slot {
+	_, h, _ := s.lookupRecord(a)
+	if h == nil {
+		return []slot{a.slot()}
+	}
+	return append(subtreeLeaves(s, h.left), subtreeLeaves(s, h.right)...)
+}
+
+// TestVerifyDeltaCatchesCorruption is the detection matrix: each row
+// damages the records of a healthy churned network one way and names
+// the processor it damaged; the full pass must fail, and so must the
+// incremental pass with only that processor touched. The rows that
+// take (p, o) damage the lowest helper of a processor the last repair
+// touched.
 func TestVerifyDeltaCatchesCorruption(t *testing.T) {
 	corruptions := []struct {
 		name    string
-		corrupt func(p *processor, o NodeID)
+		corrupt func(t *testing.T, s *Simulation, p *processor, o NodeID) *processor
 	}{
-		{"leafcount", func(p *processor, o NodeID) { p.helpers[o].leafCount++ }},
-		{"height", func(p *processor, o NodeID) { p.helpers[o].height += 2 }},
-		{"damage-flag", func(p *processor, o NodeID) { p.helpers[o].damaged = true }},
-		{"representative", func(p *processor, o NodeID) {
-			p.helpers[o].rep = slot{Owner: p.id, Other: o + 100_000}
+		{"leafcount", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			p.helpers[o].leafCount++
+			return p
 		}},
-		{"dropped-parent", func(p *processor, o NodeID) { p.helpers[o].parent = addr{} }},
+		{"height", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			p.helpers[o].height += 2
+			return p
+		}},
+		{"damage-flag", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			p.helpers[o].damaged = true
+			return p
+		}},
+		{"representative", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			p.helpers[o].rep = slot{Owner: p.id, Other: o + 100_000}
+			return p
+		}},
+		{"dropped-parent", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			p.helpers[o].parent = addr{}
+			return p
+		}},
+		// The helper also lists, as its left child, a leaf another
+		// helper already lists.
+		{"two-parents", func(t *testing.T, s *Simulation, p *processor, o NodeID) *processor {
+			self := helperAddr(p.id, o)
+			for _, a := range recordAddrs(s) {
+				if parent, _, _ := s.lookupRecord(a); a.Kind == kindLeaf && parent.ok() && parent != self {
+					p.helpers[o].left = a
+					return p
+				}
+			}
+			t.Fatal("no leaf under another helper")
+			return nil
+		}},
+		// An RT root's parent field names one of its own helper
+		// descendants.
+		{"parent-cycle", func(t *testing.T, s *Simulation, _ *processor, _ NodeID) *processor {
+			for _, a := range recordAddrs(s) {
+				parent, h, _ := s.lookupRecord(a)
+				if h == nil || parent.ok() {
+					continue
+				}
+				for _, c := range [2]addr{h.left, h.right} {
+					if c.Kind == kindHelper {
+						h.parent = c
+						return s.procs[a.Owner]
+					}
+				}
+			}
+			t.Fatal("no RT root with a helper child")
+			return nil
+		}},
+		// A leaf's parent field names an existing helper on its own
+		// processor that does not list it.
+		{"orphaned-leaf", func(t *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			h := helperAddr(p.id, o)
+			for _, x := range sortedRecordKeys(p.leaves) {
+				if l := p.leaves[x]; l.parent.ok() && l.parent != h {
+					l.parent = h
+					return p
+				}
+			}
+			t.Fatal("no leaf of the processor under another helper")
+			return nil
+		}},
+		// One RT root is hung under a helper of another RT on the same
+		// processor, without that helper listing it: no physical image
+		// changes, so only a record check can see it.
+		{"upward-only-root-link", func(t *testing.T, s *Simulation, _ *processor, _ NodeID) *processor {
+			for _, r := range recordAddrs(s) {
+				if parent, _, _ := s.lookupRecord(r); parent.ok() {
+					continue
+				}
+				p := s.procs[r.Owner]
+				for _, x := range sortedRecordKeys(p.helpers) {
+					if h := helperAddr(p.id, x); rootOf(s, h) != r {
+						if r.Kind == kindLeaf {
+							p.leaves[r.Other].parent = h
+						} else {
+							p.helpers[r.Other].parent = h
+						}
+						return p
+					}
+				}
+			}
+			t.Fatal("no processor holds a root and a helper of another RT")
+			return nil
+		}},
+		// The stored representative names a real leaf of the helper's
+		// subtree, just not the free one.
+		{"representative-real-leaf", func(t *testing.T, s *Simulation, p *processor, o NodeID) *processor {
+			h := p.helpers[o]
+			for _, l := range subtreeLeaves(s, helperAddr(p.id, o)) {
+				if l != h.rep {
+					h.rep = l
+					return p
+				}
+			}
+			t.Fatal("helper subtree has a single leaf")
+			return nil
+		}},
+		{"helper-without-leaf", func(_ *testing.T, _ *Simulation, p *processor, o NodeID) *processor {
+			delete(p.leaves, o)
+			return p
+		}},
 	}
 	for _, c := range corruptions {
 		c := c
@@ -133,15 +269,13 @@ func TestVerifyDeltaCatchesCorruption(t *testing.T) {
 			if err := s.Verify(); err != nil {
 				t.Fatalf("pre-corruption full verify: %v", err)
 			}
-			// Re-touch: the full Verify above cleared the touched set.
-			p.markTouched()
-			c.corrupt(p, o)
+			victim := c.corrupt(t, s, p, o)
 			if err := s.Verify(); err == nil {
 				t.Fatal("full verification missed the corruption — the scenario is vacuous")
 			}
-			// A fresh twin state for the delta check is unnecessary:
-			// delta only reads. It must see the same corruption.
-			p.markTouched()
+			// The full pass cleared the touched set; hand the delta
+			// pass the damaged processor alone.
+			victim.markTouched()
 			if err := s.VerifyDelta(0); err == nil {
 				t.Fatal("incremental verification missed corruption the full check catches")
 			}

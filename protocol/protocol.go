@@ -423,9 +423,13 @@ func (n *Network) Distance(u, v NodeID) int {
 	return n.s.Physical().Distance(graph.NodeID(u), graph.NodeID(v))
 }
 
-// Verify revalidates the entire distributed state from scratch (record
-// consistency, haft validity, representatives, degree and connectivity
-// invariants). A healthy network always returns nil.
+// Verify revalidates the entire distributed state from scratch. It runs
+// the per-processor record checker (record consistency, haft validity,
+// representatives, the degree bound) over every processor, then the
+// global-only checks: the physical graph against a from-scratch
+// reconstruction, the connectivity certificate and degree tracker
+// against their rebuilds, and connectivity equivalence with G′. A
+// healthy network always returns nil.
 func (n *Network) Verify() error { return n.s.Verify() }
 
 // OpKind distinguishes the two churn operation flavors.
