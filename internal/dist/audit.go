@@ -625,7 +625,7 @@ func (s *Simulation) auditEngineSweep() {
 	}
 	s.auditStall = 0
 	for _, e := range s.phantomEpochs() {
-		delete(s.inflight, e)
+		s.dropFlight(e)
 		s.audStats.Mismatches++
 		s.audStats.Repairs++
 	}

@@ -96,10 +96,12 @@ func (s *Simulation) DeleteBatch(vs []NodeID) error {
 		}
 	default:
 		s.net.ResetStats()
-		bs.Groups, bs.Waves, bs.Conflicts = s.batchShape(batch)
-		for _, v := range batch {
+		var regions [][]NodeID
+		regions, bs.Groups, bs.Waves, bs.Conflicts = s.batchShape(batch)
+		for i, v := range batch {
 			s.pending = append(s.pending, &pendingOp{
 				op: Op{Kind: OpDelete, V: v}, submitRound: s.net.Round(), after: noNode,
+				region: regions[i], regionGen: s.stateGen,
 			})
 		}
 		s.admit()
@@ -137,9 +139,10 @@ func (s *Simulation) validateBatch(vs []NodeID) ([]NodeID, error) {
 // batchShape measures how the members' footprints overlap at the call,
 // in one pass over the ascending batch: the number of overlapping
 // pairs, the connected components of the overlap relation (union-find),
-// and its longest ascending chain.
-func (s *Simulation) batchShape(batch []NodeID) (groups, waves, conflicts int) {
-	regions := make([]map[NodeID]struct{}, len(batch))
+// and its longest ascending chain. It returns the footprints too, which
+// are the members' admission regions until the state next changes.
+func (s *Simulation) batchShape(batch []NodeID) (regions [][]NodeID, groups, waves, conflicts int) {
+	regions = make([][]NodeID, len(batch))
 	depth := make([]int, len(batch))
 	root := make([]int, len(batch))
 	find := func(i int) int {
@@ -153,7 +156,7 @@ func (s *Simulation) batchShape(batch []NodeID) (groups, waves, conflicts int) {
 	for i, v := range batch {
 		regions[i], depth[i], root[i] = s.deleteRegion(v), 1, i
 		for j := 0; j < i; j++ {
-			if !overlap(regions[i], regions[j]) {
+			if !s.overlap(regions[i], regions[j]) {
 				continue
 			}
 			conflicts++
@@ -165,5 +168,5 @@ func (s *Simulation) batchShape(batch []NodeID) (groups, waves, conflicts int) {
 		}
 		waves = max(waves, depth[i])
 	}
-	return groups, waves, conflicts
+	return regions, groups, waves, conflicts
 }

@@ -261,6 +261,69 @@ func BenchmarkCoalescedChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmission times region admission on its own. held-wave
+// submits one 32-op wave, 16 deletions interleaved with 16 insertions,
+// one op at a time to a coalescing engine (Window 4) over a churned
+// powerlaw-4096. No Tick runs between the submissions, so every op is
+// still held and each Submit re-sweeps the whole held wave: this is
+// the admission work a wave-driven caller pays before any repair
+// starts. The drain that follows is untimed; msgs/wave, the drain's
+// message total, pins the decisions the timed sweeps took.
+func BenchmarkAdmission(b *testing.B) {
+	b.Run("held-wave", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(9))
+		s := NewSimulation(graph.PreferentialAttachment(4096, 3, rng))
+		var churn []Op
+		for _, v := range pickBatch(s.LiveNodes(), rng, 256) {
+			churn = append(churn, Op{Kind: OpDelete, V: v})
+		}
+		if err := s.Submit(churn...); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		s.Poll()
+		s.SetCoalescing(CoalesceConfig{Window: 4})
+		next := NodeID(1 << 20)
+		var msgs float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			live := s.LiveNodes()
+			picked := pickBatch(live, rng, 16+3*16)
+			var wave []Op
+			for j := 0; j < 16; j++ {
+				nbrs := picked[16+3*j : 16+3*j+3]
+				wave = append(wave,
+					Op{Kind: OpDelete, V: picked[j]},
+					Op{Kind: OpInsert, V: next, Nbrs: nbrs})
+				next++
+			}
+			s.net.ResetStats()
+			b.StartTimer()
+			for _, op := range wave {
+				if err := s.Submit(op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := s.Drain(); err != nil {
+				b.Fatal(err)
+			}
+			msgs += float64(s.net.Stats().Messages)
+			for _, ev := range s.Poll() {
+				if ev.Kind == EventOpRejected {
+					b.Fatalf("wave op rejected: %v", ev.Err)
+				}
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(msgs/float64(b.N), "msgs/wave")
+	})
+}
+
 // churnedNetwork is the state BenchmarkPhysicalSnapshot and
 // BenchmarkVerify measure: powerlaw-2048 after 64 random deletions.
 func churnedNetwork(b *testing.B) *Simulation {

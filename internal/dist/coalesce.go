@@ -226,9 +226,9 @@ func (s *Simulation) tryMerge(op Op, seq int) bool {
 			continue
 		}
 		if po.region == nil {
-			po.region = s.deleteRegion(po.op.V)
+			po.region, po.regionGen = s.deleteRegion(po.op.V), s.stateGen
 		}
-		if overlap(region, po.region) {
+		if s.overlap(region, po.region) {
 			last = po
 		}
 	}
@@ -237,7 +237,7 @@ func (s *Simulation) tryMerge(op Op, seq int) bool {
 	}
 	s.pending = append(s.pending, &pendingOp{
 		op: op, seq: seq, submitRound: s.net.Round(),
-		after: last.op.V, merged: true, region: region,
+		after: last.op.V, merged: true, region: region, regionGen: s.stateGen,
 	})
 	s.coalStats.Merged++
 	return true

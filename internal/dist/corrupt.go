@@ -121,6 +121,9 @@ type CorruptReport struct {
 // touches the driver's bookkeeping: the fault is invisible until a
 // full Verify or the audit layer looks.
 func (s *Simulation) Corrupt(mode CorruptMode, rng *rand.Rand) (CorruptReport, bool) {
+	// The fault writes processor state outside any pulse: footprints
+	// computed before it are stale.
+	s.stateGen++
 	rep := CorruptReport{Mode: mode}
 	switch mode {
 	case CorruptLeafCount, CorruptHeight, CorruptRep, CorruptDamageFlag, CorruptChildPtr:
@@ -219,11 +222,11 @@ func (s *Simulation) Corrupt(mode CorruptMode, rng *rand.Rand) (CorruptReport, b
 		if _, dup := s.inflight[e]; dup {
 			return rep, false
 		}
-		s.inflight[e] = &flight{
+		s.addFlight(e, &flight{
 			v:           e,
-			region:      map[NodeID]struct{}{e: {}},
+			region:      []NodeID{e},
 			submitRound: s.net.Round(),
-		}
+		})
 		rep.Victim = e
 		rep.Detail = fmt.Sprintf("phantom in-flight epoch %d", e)
 		return rep, true
@@ -302,12 +305,12 @@ func (s *Simulation) hasRemoteLink(p *processor) bool {
 func (s *Simulation) corruptEligible() map[NodeID]bool {
 	excluded := make(map[NodeID]struct{})
 	for _, f := range s.inflight {
-		for v := range f.region {
+		for _, v := range f.region {
 			excluded[v] = struct{}{}
 		}
 	}
 	for _, po := range s.pending {
-		for v := range po.region {
+		for _, v := range po.region {
 			excluded[v] = struct{}{}
 		}
 	}

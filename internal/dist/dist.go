@@ -70,6 +70,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -169,6 +170,18 @@ type Simulation struct {
 	inBlocking bool
 	lastFlight RecoveryStats
 
+	// Region admission's bookkeeping (see engine.go): claims maps each
+	// processor inside an in-flight repair's region to that repair's
+	// epoch; stateGen counts the points where processor state can
+	// change, so a footprint computed at the current generation is
+	// still exact; blocked stamps the footprints of the operations the
+	// current admission sweep kept pending, and scratch deduplicates
+	// and intersects footprints.
+	claims   map[NodeID]NodeID
+	stateGen uint64
+	blocked  stamps
+	scratch  stamps
+
 	// bound caches the quiescence bound, recomputed lazily when the
 	// node count or the narrowest capacity changes — open-loop ticking
 	// must not recompute it per round.
@@ -248,6 +261,9 @@ func NewSimulationOn(g0 *graph.Graph, net transport.Transport) *Simulation {
 	s.touchers = &dirtyList{}
 	s.done = &doneList{}
 	s.inflight = make(map[NodeID]*flight)
+	s.claims = make(map[NodeID]NodeID)
+	s.blocked.at = make(map[NodeID]uint64)
+	s.scratch.at = make(map[NodeID]uint64)
 	s.spread = true
 	s.boundDirty = true
 	for _, v := range g0.Nodes() {
@@ -451,6 +467,7 @@ func (s *Simulation) insertNow(v NodeID, nbrs []NodeID) error {
 		}
 		seen[x] = struct{}{}
 	}
+	s.stateGen++
 	s.gprime.AddNode(v)
 	s.boundDirty = true
 	s.addProcessor(v)
@@ -484,20 +501,28 @@ type pendingRepair struct {
 }
 
 // affectedBy returns the processors holding a link to v — its G′
-// neighbors plus owners of tree nodes adjacent to its avatars. These
-// are exactly v's physical neighbors, who detect the deletion per the
-// model.
-func (s *Simulation) affectedBy(v NodeID) map[NodeID]struct{} {
+// neighbors plus owners of tree nodes adjacent to its avatars — each
+// once, in no particular order. These are exactly v's physical
+// neighbors, who detect the deletion per the model. The result is
+// deduplicated in s.scratch and stays stamped there, so deleteRegion
+// extends the same set.
+func (s *Simulation) affectedBy(v NodeID) []NodeID {
 	p := s.procs[v]
-	affected := make(map[NodeID]struct{})
+	var affected []NodeID
+	s.scratch.reset()
+	add := func(x NodeID) {
+		if s.scratch.add(x) {
+			affected = append(affected, x)
+		}
+	}
 	addOwner := func(a addr) {
 		if a.ok() && a.Owner != v {
-			affected[a.Owner] = struct{}{}
+			add(a.Owner)
 		}
 	}
 	for x := range p.nbrs {
 		if _, live := s.alive[x]; live {
-			affected[x] = struct{}{}
+			add(x)
 		}
 	}
 	for _, l := range p.leaves {
@@ -569,16 +594,12 @@ func (s *Simulation) removeProcessor(v NodeID) {
 // prepareRepair removes v from the network, returning nil when v was
 // isolated in the virtual graph (nothing to repair).
 func (s *Simulation) prepareRepair(v NodeID) *pendingRepair {
-	affected := s.affectedBy(v)
+	notify := s.affectedBy(v)
 	s.removeProcessor(v)
-	if len(affected) == 0 {
+	if len(notify) == 0 {
 		return nil
 	}
-	notify := make([]NodeID, 0, len(affected))
-	for x := range affected {
-		notify = append(notify, x)
-	}
-	sort.Slice(notify, func(i, j int) bool { return notify[i] < notify[j] })
+	slices.Sort(notify)
 	return &pendingRepair{v: v, notify: notify}
 }
 

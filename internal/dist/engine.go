@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -135,11 +135,12 @@ type pendingOp struct {
 	op          Op
 	seq         int // submission sequence number (Event.Seq)
 	submitRound int
-	// region is the footprint computed at the last admission attempt;
-	// blockers the in-flight epochs that overlapped it (for handoff
-	// attribution).
-	region   map[NodeID]struct{}
-	blockers []NodeID
+	// region is the footprint computed at the last admission attempt,
+	// at state generation regionGen; blockers the in-flight epochs that
+	// overlapped it (for handoff attribution).
+	region    []NodeID
+	regionGen uint64
+	blockers  []NodeID
 	// from is the finishing leader that released this op, when one did:
 	// the launch sends the death notifications leader-to-leader.
 	from     NodeID
@@ -161,7 +162,7 @@ type flight struct {
 	seq         int // submission sequence number (Event.Seq)
 	degree      int
 	notify      int
-	region      map[NodeID]struct{}
+	region      []NodeID
 	statsAt     transport.Stats
 	submitRound int
 }
@@ -218,6 +219,7 @@ func (s *Simulation) Submit(ops ...Op) error {
 // in-flight repairs, or queued traffic).
 func (s *Simulation) Tick() bool {
 	s.net.Pulse()
+	s.stateGen++
 	s.afterRound()
 	if s.coalesceOn && len(s.pending) > 0 {
 		s.tickHolds()
@@ -365,7 +367,7 @@ func (s *Simulation) afterRound() {
 		if fl == nil {
 			panic(fmt.Sprintf("dist: completion for unknown epoch %d", d.epoch))
 		}
-		delete(s.inflight, d.epoch)
+		s.dropFlight(d.epoch)
 		freed[d.epoch] = d.leader
 		rs := s.flightStats(fl)
 		s.lastFlight = rs
@@ -428,12 +430,17 @@ func (s *Simulation) admit() {
 // earlier-submitted operation still pends on an overlapping footprint
 // and no in-flight repair's region intersects its own. It returns the
 // epochs of repairs that completed instantly.
+//
+// Both tests are per-processor lookups, not region intersections:
+// in-flight regions are held in the claim table, and each operation the
+// sweep keeps pending stamps its footprint in s.blocked, so a later
+// operation is checked in O(|region|).
 func (s *Simulation) admitPass() (instant []NodeID) {
 	if len(s.pending) == 0 {
 		return nil
 	}
 	keep := s.pending[:0]
-	var tentative []map[NodeID]struct{}
+	s.blocked.reset()
 	pendingCreates := make(map[NodeID]struct{})
 	// doomed tracks targets of earlier-queued deletes that have not
 	// launched yet. Ids are never reused, so such a node is dead at
@@ -445,8 +452,8 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 	doomed := make(map[NodeID]struct{})
 	block := func(po *pendingOp) {
 		keep = append(keep, po)
-		if po.region != nil {
-			tentative = append(tentative, po.region)
+		for _, x := range po.region {
+			s.blocked.add(x)
 		}
 		if po.op.Kind == OpInsert {
 			pendingCreates[po.op.V] = struct{}{}
@@ -464,11 +471,11 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 	for _, po := range s.pending {
 		if po.merged && po.after != noNode {
 			// Coalesced merge waiting on its predecessor epoch. Refresh
-			// the tentative footprint (in-flight repairs may have moved
-			// the trees) so later ops in this sweep serialize against it
+			// its footprint (in-flight repairs may have moved the trees)
+			// so later ops in this sweep serialize against it
 			// exactly as they would against an unheld pending delete.
 			if s.Alive(po.op.V) {
-				po.region = s.deleteRegion(po.op.V)
+				s.refreshRegion(po)
 			}
 			block(po)
 			continue
@@ -484,8 +491,8 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 				reject(po, fmt.Errorf("dist: delete %d: not a live node", v))
 				continue
 			}
-			po.region = s.deleteRegion(v)
-			if blockers, blocked := s.regionBlocked(po.region, tentative); blocked {
+			s.refreshRegion(po)
+			if blockers, blocked := s.regionBlocked(po.region); blocked {
 				// Still blocked: any handoff attribution from a previous
 				// release is stale — the launch belongs to whichever
 				// repair frees the op last.
@@ -514,9 +521,7 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 				continue
 			}
 			wait, err := false, error(nil)
-			region := map[NodeID]struct{}{v: {}}
 			for _, x := range nbrs {
-				region[x] = struct{}{}
 				if _, dying := doomed[x]; dying {
 					err = fmt.Errorf("dist: insert %d: neighbor %d is not a live node", v, x)
 					break
@@ -535,8 +540,12 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 				reject(po, err)
 				continue
 			}
-			po.region = region
-			if blockers, blocked := s.regionBlocked(region, tentative); wait || blocked {
+			if po.region == nil {
+				// State-independent: the node and its distinct neighbors
+				// (Submit rejects self edges and duplicates).
+				po.region = append([]NodeID{v}, nbrs...)
+			}
+			if blockers, blocked := s.regionBlocked(po.region); wait || blocked {
 				po.blockers = blockers
 				block(po)
 				continue
@@ -562,51 +571,110 @@ func (s *Simulation) admitPass() (instant []NodeID) {
 	return instant
 }
 
-// regionBlocked reports whether a footprint intersects any in-flight
-// repair's region (returning the overlapping epochs, sorted, for
-// handoff attribution) or any earlier pending operation's tentative
-// footprint.
-// The in-flight set is re-read on every call: admitPass launches
-// repairs mid-sweep, and later operations in the same sweep must see
-// those new flights.
-func (s *Simulation) regionBlocked(region map[NodeID]struct{}, tentative []map[NodeID]struct{}) ([]NodeID, bool) {
+// regionBlocked reports whether a footprint holds a processor some
+// in-flight repair claims (returning the claiming epochs, sorted, for
+// handoff attribution) or one an earlier operation of this sweep kept
+// pending on. The claim table is read on every call: admitPass
+// launches repairs mid-sweep, and later operations in the same sweep
+// must see those new flights.
+func (s *Simulation) regionBlocked(region []NodeID) ([]NodeID, bool) {
 	var blockers []NodeID
-	for _, e := range sortedEpochs(s.inflight) {
-		if overlap(region, s.inflight[e].region) {
+	for _, x := range region {
+		if e, claimed := s.claims[x]; claimed && !slices.Contains(blockers, e) {
 			blockers = append(blockers, e)
 		}
 	}
 	if len(blockers) > 0 {
+		slices.Sort(blockers)
 		return blockers, true
 	}
-	for _, t := range tentative {
-		if overlap(region, t) {
+	for _, x := range region {
+		if s.blocked.has(x) {
 			return nil, true
 		}
 	}
 	return nil, false
 }
 
-func sortedEpochs(m map[NodeID]*flight) []NodeID {
-	out := make([]NodeID, 0, len(m))
-	for e := range m {
-		out = append(out, e)
+// refreshRegion recomputes a pending deletion's footprint unless it was
+// computed at the current state generation. deleteRegion reads only
+// processor state, which changes only where stateGen is bumped (a
+// transport pulse, a launch, an insert, an injected fault), so a region
+// of the current generation is exactly what a recomputation would
+// return.
+func (s *Simulation) refreshRegion(po *pendingOp) {
+	if po.region == nil || po.regionGen != s.stateGen {
+		po.region, po.regionGen = s.deleteRegion(po.op.V), s.stateGen
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
-func overlap(a, b map[NodeID]struct{}) bool {
-	if len(b) < len(a) {
-		a, b = b, a
+// overlap reports whether two footprints share a processor.
+func (s *Simulation) overlap(a, b []NodeID) bool {
+	s.scratch.reset()
+	for _, x := range a {
+		s.scratch.add(x)
 	}
-	for v := range a {
-		if _, ok := b[v]; ok {
+	for _, x := range b {
+		if s.scratch.has(x) {
 			return true
 		}
 	}
 	return false
 }
+
+// addFlight registers an in-flight repair under its epoch and claims
+// every processor of its region. Admission launches only footprints
+// no flight claims, so finding a processor already claimed is an
+// admission bug.
+func (s *Simulation) addFlight(epoch NodeID, fl *flight) {
+	for _, x := range fl.region {
+		if other, taken := s.claims[x]; taken {
+			panic(fmt.Sprintf("dist: epoch %d launched on processor %d, which in-flight epoch %d claims", epoch, x, other))
+		}
+		s.claims[x] = epoch
+	}
+	s.inflight[epoch] = fl
+}
+
+// dropFlight retires an in-flight repair and releases its claims.
+func (s *Simulation) dropFlight(epoch NodeID) {
+	for _, x := range s.inflight[epoch].region {
+		delete(s.claims, x)
+	}
+	delete(s.inflight, epoch)
+}
+
+// stamps is a reusable processor set: a node is a member when its
+// stamp equals the current generation, so reset empties the set in
+// O(1) and membership costs one map lookup.
+type stamps struct {
+	at  map[NodeID]uint64
+	gen uint64
+}
+
+// stampCap bounds a stamp map. Node IDs are never reused, so under
+// churn stale stamps pile up; reset drops them once the map holds
+// stampCap nodes, a clear amortized over at least that many additions.
+const stampCap = 1 << 16
+
+// reset starts a new, empty set.
+func (st *stamps) reset() {
+	st.gen++
+	if len(st.at) > stampCap {
+		clear(st.at)
+	}
+}
+
+// add inserts x, reporting whether it was new.
+func (st *stamps) add(x NodeID) bool {
+	if st.at[x] == st.gen {
+		return false
+	}
+	st.at[x] = st.gen
+	return true
+}
+
+func (st *stamps) has(x NodeID) bool { return st.at[x] == st.gen }
 
 // launchDelete removes the processor and starts its repair, reporting
 // true when the repair completed on the spot (a node isolated in the
@@ -622,6 +690,7 @@ func (s *Simulation) launchDelete(po *pendingOp) (instantlyDone bool) {
 	// and needs the multiplicity index current.
 	s.drainPhys()
 	rep := s.prepareRepair(v)
+	s.stateGen++
 	if rep == nil {
 		rs := RecoveryStats{Deleted: v, DegreePrime: degree}
 		s.lastFlight = rs
@@ -631,10 +700,10 @@ func (s *Simulation) launchDelete(po *pendingOp) (instantlyDone bool) {
 		})
 		return true
 	}
-	s.inflight[v] = &flight{
+	s.addFlight(v, &flight{
 		v: v, seq: po.seq, degree: degree, notify: len(rep.notify),
 		region: po.region, statsAt: s.net.Stats(), submitRound: po.submitRound,
-	}
+	})
 	// Hand off from the releasing leader if it is still alive (a later
 	// deletion may have removed it since); otherwise the members detect
 	// the deletion themselves, as in a fresh launch.
@@ -765,11 +834,15 @@ func (s *Simulation) flightStats(fl *flight) RecoveryStats {
 // mid-repair by some flight F, so the record reached sits in F's RT
 // and its owner is in region(F); that owner IS collected before the
 // stop, so the overlap check still blocks v behind F.
-func (s *Simulation) deleteRegion(v NodeID) map[NodeID]struct{} {
-	region := map[NodeID]struct{}{v: {}}
-	for x := range s.affectedBy(v) {
-		region[x] = struct{}{}
+// The region lists each processor once, in no particular order.
+func (s *Simulation) deleteRegion(v NodeID) []NodeID {
+	region := s.affectedBy(v) // its members stay stamped in s.scratch
+	add := func(x NodeID) {
+		if s.scratch.add(x) {
+			region = append(region, x)
+		}
 	}
+	add(v)
 	p := s.procs[v]
 	seenRoots := make(map[addr]struct{})
 	var down func(a addr)
@@ -777,7 +850,7 @@ func (s *Simulation) deleteRegion(v NodeID) map[NodeID]struct{} {
 		if !a.ok() {
 			return
 		}
-		region[a.Owner] = struct{}{}
+		add(a.Owner)
 		if a.Kind != kindHelper {
 			return
 		}
@@ -795,7 +868,7 @@ func (s *Simulation) deleteRegion(v NodeID) map[NodeID]struct{} {
 				break
 			}
 			if _, _, upOK := s.lookupRecord(parent); !upOK {
-				region[parent.Owner] = struct{}{}
+				add(parent.Owner)
 				break
 			}
 			a = parent
@@ -806,10 +879,10 @@ func (s *Simulation) deleteRegion(v NodeID) map[NodeID]struct{} {
 		seenRoots[a] = struct{}{}
 		down(a)
 	}
-	for _, o := range sortedRecordKeys(p.leaves) {
+	for o := range p.leaves {
 		visit(leafAddr(v, o))
 	}
-	for _, o := range sortedRecordKeys(p.helpers) {
+	for o := range p.helpers {
 		visit(helperAddr(v, o))
 	}
 	return region

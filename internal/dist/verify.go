@@ -71,13 +71,27 @@ func (s *Simulation) Verify() error {
 	return s.checkConnectivity(s.phys)
 }
 
-// checkEngineFootprint catches phantom open-loop engine state: an
-// in-flight repair epoch that no processor holds scratch for — while
-// the network is quiet, so nothing carrying the epoch is in transit —
-// can never complete in-band. Skipped while traffic is pending: a
-// freshly launched repair's scratch may still be in its notification
-// messages.
+// checkEngineFootprint checks the open-loop engine's admission state.
+// The claim table must equal the union of the in-flight regions, each
+// processor mapped to its own repair's epoch. And an in-flight repair
+// epoch that no processor holds scratch for — while the network is
+// quiet, so nothing carrying the epoch is in transit — is phantom: it
+// can never complete in-band. The phantom check is skipped while
+// traffic is pending: a freshly launched repair's scratch may still be
+// in its notification messages.
 func (s *Simulation) checkEngineFootprint() error {
+	claimed := 0
+	for e, fl := range s.inflight {
+		for _, x := range fl.region {
+			if c, ok := s.claims[x]; !ok || c != e {
+				return fmt.Errorf("dist: claim table: processor %d of in-flight epoch %d's region is not claimed by it", x, e)
+			}
+		}
+		claimed += len(fl.region)
+	}
+	if len(s.claims) != claimed {
+		return fmt.Errorf("dist: claim table holds %d processors, in-flight regions %d", len(s.claims), claimed)
+	}
 	if !s.netQuiet() {
 		return nil
 	}

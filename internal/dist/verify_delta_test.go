@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -260,6 +261,12 @@ func TestVerifyDeltaCatchesCorruption(t *testing.T) {
 			delete(p.leaves, o)
 			return p
 		}},
+		// A claim left behind by a finished repair: the admission claim
+		// table no longer equals the union of the in-flight regions.
+		{"stale-claim", func(_ *testing.T, s *Simulation, p *processor, _ NodeID) *processor {
+			s.claims[p.id] = s.LastRecovery().Deleted
+			return p
+		}},
 	}
 	for _, c := range corruptions {
 		c := c
@@ -280,6 +287,21 @@ func TestVerifyDeltaCatchesCorruption(t *testing.T) {
 				t.Fatal("incremental verification missed corruption the full check catches")
 			}
 		})
+	}
+}
+
+// TestVerifyCatchesDegreeTrackerDrift: only Verify audits the
+// incremental max-degree-ratio tracker, by comparing it with its
+// rebuild. An entry pushed with a fresh stamp and an inflated ratio
+// must fail that comparison.
+func TestVerifyCatchesDegreeTrackerDrift(t *testing.T) {
+	s := churnedSim(t)
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	s.degs.update(s.LiveNodes()[0], 1000, 1)
+	if err := s.Verify(); err == nil || !strings.Contains(err.Error(), "degree tracker") {
+		t.Fatalf("Verify with an inflated degree-tracker entry: %v; want a degree tracker error", err)
 	}
 }
 
