@@ -70,21 +70,13 @@ func (s *Simulation) checkCertCounts() error {
 // same-labeled endpoints in gpCC. A forged label (the CorruptCertificate
 // mode) on any node with a neighbor fails here.
 func (s *Simulation) checkCertIncident(p *processor) error {
-	var err error
-	s.phys.EachNeighbor(p.id, func(x NodeID) {
-		if err == nil && !s.physCC.Same(p.id, x) {
-			err = fmt.Errorf("dist: certificate: physical edge %d-%d crosses component labels", p.id, x)
-		}
-	})
-	if err != nil {
-		return err
+	if x, ok := s.physCC.CrossingNeighbor(p.id); ok {
+		return fmt.Errorf("dist: certificate: physical edge %d-%d crosses component labels", p.id, x)
 	}
-	s.gprime.EachNeighbor(p.id, func(x NodeID) {
-		if err == nil && !s.gpCC.Same(p.id, x) {
-			err = fmt.Errorf("dist: certificate: G' edge %d-%d crosses component labels", p.id, x)
-		}
-	})
-	return err
+	if x, ok := s.gpCC.CrossingNeighbor(p.id); ok {
+		return fmt.Errorf("dist: certificate: G' edge %d-%d crosses component labels", p.id, x)
+	}
+	return nil
 }
 
 // checkCertFull is the authoritative cross-check the full Verify runs:

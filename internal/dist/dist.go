@@ -573,12 +573,13 @@ func (s *Simulation) removeProcessor(v NodeID) {
 	// certificate's settle is sound only if every incident edge of a
 	// removed node is recorded — and let the late drains find
 	// multiplicity hitting zero with the edge already gone (physDel
-	// tolerates that). Neighbors are collected first: the adjacency set
-	// must not be mutated mid-iteration.
+	// tolerates that). Neighbors are collected first, as the graph must
+	// not be mutated mid-iteration, and removed last to first: each is
+	// then v's last edge, which RemoveEdge finds at once.
 	s.nbrScratch = s.nbrScratch[:0]
 	s.phys.EachNeighbor(v, func(x NodeID) { s.nbrScratch = append(s.nbrScratch, x) })
-	for _, x := range s.nbrScratch {
-		if s.phys.RemoveEdge(v, x) {
+	for i := len(s.nbrScratch) - 1; i >= 0; i-- {
+		if x := s.nbrScratch[i]; s.phys.RemoveEdge(v, x) {
 			s.physCC.OnRemoveEdge(v, x)
 			s.stubs.adjust(x, -1)
 			s.degChanged(x)

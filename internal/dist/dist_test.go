@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/graph"
 )
 
@@ -127,5 +131,60 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	a, b := run(), run()
 	if !a.Equal(b) {
 		t.Fatal("two identical runs produced different healed graphs")
+	}
+}
+
+// TestTwoSimulationsFromOneG0 builds two simulations from one initial
+// graph and drives the same schedule through both, once with the audit
+// on and once with coalescing at Window 4: the pattern of a benchmark
+// that hands one g0 to every episode and fully verifies a later one.
+// g0 must come out unchanged, the second run must repeat the first's
+// events, healed graphs, messages and rounds, and it must pass the full
+// Verify within the degree bound.
+func TestTwoSimulationsFromOneG0(t *testing.T) {
+	g0 := graph.PreferentialAttachment(384, 3, rand.New(rand.NewSource(2202)))
+	nodes, edges := g0.Nodes(), g0.Edges()
+	schedule := genCoalesceSchedule(g0, 64, 5)
+	for _, mode := range []string{"audit", "coalesce"} {
+		t.Run(mode, func(t *testing.T) {
+			var digest [2]uint64
+			var msgs, rounds [2]int
+			var s *Simulation
+			for run := range digest {
+				s = NewSimulation(g0)
+				if mode == "audit" {
+					if err := s.EnableAudit(audit.Config{}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					s.SetCoalescing(CoalesceConfig{Window: 4})
+				}
+				d := &admissionDigest{h: fnv.New64a()}
+				d.observe(s)
+				for _, so := range schedule {
+					if err := s.Submit(so.op); err != nil {
+						t.Fatal(err)
+					}
+					for r := 0; r < so.delay; r++ {
+						s.Tick()
+					}
+				}
+				d.finish(t, s)
+				digest[run], msgs[run], rounds[run] = d.h.Sum64(), s.NetMessages(), s.Round()
+				if !slices.Equal(g0.Nodes(), nodes) || !slices.Equal(g0.Edges(), edges) {
+					t.Fatalf("run %d changed g0", run)
+				}
+			}
+			if digest[0] != digest[1] || msgs[0] != msgs[1] || rounds[0] != rounds[1] {
+				t.Fatalf("runs differ: digests %#x/%#x, messages %d/%d, rounds %d/%d",
+					digest[0], digest[1], msgs[0], msgs[1], rounds[0], rounds[1])
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatalf("second simulation: %v", err)
+			}
+			if r, v := s.MaxDegreeRatio(); r > 4 {
+				t.Fatalf("second simulation: node %d has degree ratio %.2f > 4", v, r)
+			}
+		})
 	}
 }

@@ -55,9 +55,7 @@ func (d *dirtyList) take() []*processor {
 func (s *Simulation) initPhys(g0 *graph.Graph) {
 	s.phys = g0.Clone()
 	s.physMult = make(map[graph.Edge]int, g0.NumEdges())
-	for _, e := range g0.Edges() {
-		s.physMult[e] = 1
-	}
+	g0.EachEdge(func(u, v NodeID) { s.physMult[graph.Edge{U: u, V: v}] = 1 })
 	s.dirty = &dirtyList{}
 	// The connectivity certificates (see cert.go) shadow every mutation
 	// of the two graphs from here on. gprime was cloned before initPhys

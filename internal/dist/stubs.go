@@ -1,6 +1,6 @@
 package dist
 
-import "sort"
+import "slices"
 
 // Incremental degree indexes, maintained at the same mutation choke
 // points as the connectivity certificate (physAdd/physDel, insertNow,
@@ -25,45 +25,60 @@ import "sort"
 // drain, so the public accessors drain first (like Physical()).
 
 // stubIndex maintains the preferential-attachment stub multiset.
-// Positions are kept in ascending ID order — normally free, since IDs
-// are never reused and callers allocate them monotonically, so
-// insertion order IS ascending order; an out-of-order insertion (legal
-// through Submit) splices into place and rebuilds the tree, an O(n)
-// event that never happens on the monotonic allocators. Dead
-// processors keep their position with weight zero, contributing
-// nothing to the multiset, exactly like their absence from the
-// materialized stub list.
+// Positions are kept in ascending ID order and found by binary search.
+// Insertion order is normally ascending order, since IDs are never
+// reused and callers allocate them monotonically; an out-of-order
+// insertion (legal through Submit, and made by region admission when
+// an earlier insert stays blocked) splices into place, keeps total
+// exact and marks the tree stale, and the next StubAt rebuilds it once
+// in O(n) however many splices came before. Dead processors keep their
+// position with weight zero, contributing nothing to the multiset,
+// exactly like their absence from the materialized stub list; a live
+// processor always weighs at least 1.
 type stubIndex struct {
-	tree   []int // Fenwick tree over positions (1-based internally)
-	weight []int // current weight per position (0 = dead)
-	pos    map[NodeID]int
-	seq    []NodeID
+	seq    []NodeID // every processor ever registered, ascending
+	weight []int    // current weight per position (0 = dead)
+	tree   []int    // Fenwick tree over positions (1-based internally)
+	stale  bool     // tree needs a rebuild before the next read
 	total  int
 }
 
 func newStubIndex() *stubIndex {
-	return &stubIndex{pos: make(map[NodeID]int)}
+	return &stubIndex{}
+}
+
+// find returns v's position, and whether v is a live processor.
+func (si *stubIndex) find(v NodeID) (int, bool) {
+	i, ok := slices.BinarySearch(si.seq, v)
+	return i, ok && si.weight[i] != 0
 }
 
 // addNode registers a new processor with weight 1 (degree 0 + 1).
 func (si *stubIndex) addNode(v NodeID) {
-	if _, ok := si.pos[v]; ok {
-		return
+	i, ok := slices.BinarySearch(si.seq, v)
+	switch {
+	case ok:
+		if si.weight[i] == 0 {
+			si.add(i, 1)
+		}
+	case i == len(si.seq):
+		si.seq = append(si.seq, v)
+		si.weight = append(si.weight, 0)
+		if !si.stale {
+			// A Fenwick node appended at 1-based index j covers
+			// positions (j - lowbit(j), j]; seed it with the
+			// already-present weights of that range so prefix sums
+			// stay correct as the tree grows.
+			j := i + 1
+			si.tree = append(si.tree, si.prefix(i)-si.prefix(j-j&-j))
+		}
+		si.add(i, 1)
+	default:
+		si.seq = slices.Insert(si.seq, i, v)
+		si.weight = slices.Insert(si.weight, i, 1)
+		si.total++
+		si.stale = true
 	}
-	if n := len(si.seq); n > 0 && v < si.seq[n-1] {
-		si.insertSorted(v)
-		return
-	}
-	i := len(si.seq)
-	si.seq = append(si.seq, v)
-	si.weight = append(si.weight, 0)
-	// A Fenwick node appended at 1-based index j covers positions
-	// (j - lowbit(j), j]; seed it with the already-present weights of
-	// that range so prefix sums stay correct as the tree grows.
-	j := i + 1
-	si.tree = append(si.tree, si.prefix(i)-si.prefix(j-j&-j))
-	si.pos[v] = i
-	si.adjust(v, 1)
 }
 
 // prefix returns the total weight of positions [0, i).
@@ -75,54 +90,41 @@ func (si *stubIndex) prefix(i int) int {
 	return sum
 }
 
-// insertSorted splices an out-of-order ID into its ascending position
-// and rebuilds the Fenwick tree.
-func (si *stubIndex) insertSorted(v NodeID) {
-	i := sort.Search(len(si.seq), func(j int) bool { return si.seq[j] > v })
-	si.seq = append(si.seq, 0)
-	copy(si.seq[i+1:], si.seq[i:])
-	si.seq[i] = v
-	si.weight = append(si.weight, 0)
-	copy(si.weight[i+1:], si.weight[i:])
-	si.weight[i] = 1
-	si.pos = make(map[NodeID]int, len(si.seq))
-	si.tree = make([]int, len(si.seq))
-	si.total = 0
-	for j, u := range si.seq {
-		if w := si.weight[j]; w != 0 { // weight 0 = dead: stays out of pos
-			si.pos[u] = j
-			si.update(j, w)
+// rebuild recomputes a stale Fenwick tree from the weights in O(n):
+// each node adds its range sum into the next node covering it.
+func (si *stubIndex) rebuild() {
+	si.tree = append(si.tree[:0], si.weight...)
+	for j := 1; j <= len(si.tree); j++ {
+		if p := j + j&-j; p <= len(si.tree) {
+			si.tree[p-1] += si.tree[j-1]
 		}
 	}
+	si.stale = false
 }
 
 // removeNode zeroes a dead processor's weight; the position stays (the
-// Fenwick tree never shrinks mid-run, matching sweepSeq's behavior).
+// index never shrinks mid-run, matching sweepSeq's behavior).
 func (si *stubIndex) removeNode(v NodeID) {
-	i, ok := si.pos[v]
-	if !ok {
-		return
+	if i, ok := si.find(v); ok {
+		si.add(i, -si.weight[i])
 	}
-	if w := si.weight[i]; w != 0 {
-		si.update(i, -w)
-		si.weight[i] = 0
-	}
-	delete(si.pos, v)
 }
 
-// adjust shifts v's weight by delta (±1 per incident physical edge
-// gained or lost).
+// adjust shifts a live processor's weight by delta (±1 per incident
+// physical edge gained or lost).
 func (si *stubIndex) adjust(v NodeID, delta int) {
-	i, ok := si.pos[v]
-	if !ok {
-		return
+	if i, ok := si.find(v); ok {
+		si.add(i, delta)
 	}
-	si.weight[i] += delta
-	si.update(i, delta)
 }
 
-func (si *stubIndex) update(i, delta int) {
+// add shifts the weight at position i, and the tree unless it is stale.
+func (si *stubIndex) add(i, delta int) {
+	si.weight[i] += delta
 	si.total += delta
+	if si.stale {
+		return
+	}
 	for j := i + 1; j <= len(si.tree); j += j & -j {
 		si.tree[j-1] += delta
 	}
@@ -131,6 +133,9 @@ func (si *stubIndex) update(i, delta int) {
 // at returns the node owning stub index k (0 ≤ k < total): the
 // processor whose weight interval, in position order, contains k.
 func (si *stubIndex) at(k int) NodeID {
+	if si.stale {
+		si.rebuild()
+	}
 	n := len(si.tree)
 	// Largest power of two ≤ n.
 	step := 1

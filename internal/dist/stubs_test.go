@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -77,7 +78,12 @@ func TestStubIndexMatchesMaterialized(t *testing.T) {
 
 // TestStubIndexOutOfOrderInsert exercises the sorted-splice path: an
 // insertion with an ID below the current maximum must land at its
-// ascending position, exactly where the materialized list puts it.
+// ascending position, exactly where the materialized list puts it. A
+// splice leaves the Fenwick tree stale until the next StubAt, so the
+// churn below interleaves runs of out-of-order inserts with no read
+// between them, ascending inserts appended while the tree is stale,
+// and deletes; StubCount must be exact after every insert, and StubAt
+// is checked point by point after every run.
 func TestStubIndexOutOfOrderInsert(t *testing.T) {
 	g0 := graph.Path(4) // nodes 0..3
 	s := NewSimulation(g0)
@@ -92,6 +98,36 @@ func TestStubIndexOutOfOrderInsert(t *testing.T) {
 		t.Fatalf("delete 2: %v", err)
 	}
 	checkStubIndex(t, s, "after delete")
+
+	rng := rand.New(rand.NewSource(13))
+	down, up := NodeID(99), NodeID(1000) // IDs 51..99 splice, 1000.. append
+	for run := 0; run < 40; run++ {
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			v := down
+			if rng.Intn(3) == 0 || down == 50 {
+				v, up = up, up+1
+			} else {
+				down--
+			}
+			live := s.LiveNodes()
+			nbrs := []NodeID{live[rng.Intn(len(live))]}
+			if x := live[rng.Intn(len(live))]; x != nbrs[0] {
+				nbrs = append(nbrs, x)
+			}
+			if err := s.Insert(v, nbrs); err != nil {
+				t.Fatalf("run %d: insert %d: %v", run, v, err)
+			}
+			if got, want := s.StubCount(), len(materializedStubs(s)); got != want {
+				t.Fatalf("run %d: after inserting %d StubCount = %d, materialized list has %d", run, v, got, want)
+			}
+		}
+		if live := s.LiveNodes(); rng.Intn(2) == 0 && len(live) > 4 {
+			if err := s.Delete(live[rng.Intn(len(live))]); err != nil {
+				t.Fatalf("run %d: delete: %v", run, err)
+			}
+		}
+		checkStubIndex(t, s, fmt.Sprintf("after run %d", run))
+	}
 	if err := s.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}

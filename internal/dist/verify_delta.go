@@ -101,13 +101,20 @@ func (s *Simulation) checkRecords(p *processor, checkedRoots map[addr]struct{}) 
 // index from the records on exactly such an edge, which a purely
 // RT-shape pass can miss when the orphaned subtree is itself a valid
 // tree.
+//
+// Each peer's adjacency in both graphs is read off one walk of p's own
+// neighbour lists: a HasEdge per peer would scan the peer's list, which
+// costs a hub as much as its peers' degrees sum to.
 func (s *Simulation) checkPhysIncident(p *processor) error {
+	const inPhys, inGPrime = 1, 2
 	id := p.id
-	peers := make(map[NodeID]struct{})
-	s.phys.EachNeighbor(id, func(q NodeID) { peers[q] = struct{}{} })
+	peers := make(map[NodeID]uint8)
+	s.phys.EachNeighbor(id, func(q NodeID) { peers[q] = inPhys })
 	addParent := func(a addr) {
 		if a.ok() && a.Owner != id {
-			peers[a.Owner] = struct{}{}
+			if _, ok := peers[a.Owner]; !ok {
+				peers[a.Owner] = 0
+			}
 		}
 	}
 	for _, l := range p.leaves {
@@ -116,6 +123,11 @@ func (s *Simulation) checkPhysIncident(p *processor) error {
 	for _, h := range p.helpers {
 		addParent(h.parent)
 	}
+	s.gprime.EachNeighbor(id, func(q NodeID) {
+		if b, ok := peers[q]; ok {
+			peers[q] = b | inGPrime
+		}
+	})
 	countTo := func(pp *processor, other NodeID) int {
 		c := 0
 		for _, l := range pp.leaves {
@@ -130,22 +142,22 @@ func (s *Simulation) checkPhysIncident(p *processor) error {
 		}
 		return c
 	}
-	for q := range peers {
+	for q, b := range peers {
 		qp, ok := s.procs[q]
 		if !ok {
 			return fmt.Errorf("dist: node %d holds a physical edge or parent link to dead node %d", id, q)
 		}
 		want := countTo(p, q) + countTo(qp, id)
-		if s.gprime.HasEdge(id, q) {
+		if b&inGPrime != 0 {
 			want++ // the live G′ edge's own image
 		}
 		got := s.physMult[graph.NewEdge(id, q)]
 		if got != want {
 			return fmt.Errorf("dist: physical edge %d-%d: multiplicity index %d, records say %d", id, q, got, want)
 		}
-		if (want > 0) != s.phys.HasEdge(id, q) {
+		if present := b&inPhys != 0; (want > 0) != present {
 			return fmt.Errorf("dist: physical edge %d-%d: graph presence %v disagrees with %d images",
-				id, q, s.phys.HasEdge(id, q), want)
+				id, q, present, want)
 		}
 	}
 	return nil

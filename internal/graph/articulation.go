@@ -7,9 +7,9 @@ package graph
 // adversary: deleting articulation points is the most structurally
 // damaging attack a topology admits.
 func (g *Graph) ArticulationPoints() []NodeID {
-	index := make(map[NodeID]int, len(g.adj))    // discovery times, 1-based
-	low := make(map[NodeID]int, len(g.adj))      // low-link values
-	childCnt := make(map[NodeID]int, len(g.adj)) // DFS-tree children of roots
+	index := make(map[NodeID]int, g.n)    // discovery times, 1-based
+	low := make(map[NodeID]int, g.n)      // low-link values
+	childCnt := make(map[NodeID]int, g.n) // DFS-tree children of roots
 	isCut := make(map[NodeID]bool)
 	time := 0
 

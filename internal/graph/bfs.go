@@ -19,7 +19,9 @@ func (g *Graph) BFS(src NodeID) map[NodeID]int {
 		u := queue[0]
 		queue = queue[1:]
 		du := dist[u]
-		for v := range g.adj[u] {
+		su, _ := g.slot(u)
+		for _, h := range g.adj[su] {
+			v := g.ids[h.to]
 			if _, seen := dist[v]; !seen {
 				dist[v] = du + 1
 				queue = append(queue, v)
@@ -65,7 +67,9 @@ func (g *Graph) Distance(u, v NodeID) int {
 		x := queue[0]
 		queue = queue[1:]
 		dx := dist[x]
-		for y := range g.adj[x] {
+		sx, _ := g.slot(x)
+		for _, h := range g.adj[sx] {
+			y := g.ids[h.to]
 			if _, seen := dist[y]; !seen {
 				if y == v {
 					return dx + 1
@@ -84,18 +88,18 @@ func (g *Graph) Connected() bool {
 	if g.NumNodes() <= 1 {
 		return true
 	}
-	var src NodeID
-	for u := range g.adj {
-		src = u
-		break
+	for s, live := range g.live {
+		if live {
+			return len(g.BFS(g.ids[s])) == g.NumNodes()
+		}
 	}
-	return len(g.BFS(src)) == g.NumNodes()
+	return true
 }
 
 // Components returns the connected components as slices of ascending
 // NodeIDs, ordered by their smallest member.
 func (g *Graph) Components() [][]NodeID {
-	seen := make(map[NodeID]struct{}, len(g.adj))
+	seen := make(map[NodeID]struct{}, g.n)
 	var comps [][]NodeID
 	for _, u := range g.Nodes() {
 		if _, ok := seen[u]; ok {
@@ -133,7 +137,7 @@ func (g *Graph) Diameter() int {
 	}
 	n := g.NumNodes()
 	diam := 0
-	for u := range g.adj {
+	for _, u := range g.Nodes() {
 		ecc, reached := g.Eccentricity(u)
 		if reached != n {
 			return Unreachable
@@ -148,8 +152,8 @@ func (g *Graph) Diameter() int {
 // AllPairsDistances runs a BFS from every vertex and returns the full
 // distance table. Intended for small and medium graphs (O(n·(n+m)) time).
 func (g *Graph) AllPairsDistances() map[NodeID]map[NodeID]int {
-	out := make(map[NodeID]map[NodeID]int, len(g.adj))
-	for u := range g.adj {
+	out := make(map[NodeID]map[NodeID]int, g.n)
+	for _, u := range g.Nodes() {
 		out[u] = g.BFS(u)
 	}
 	return out

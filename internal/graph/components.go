@@ -18,16 +18,23 @@ import (
 //
 // The representation is a label per node plus a union–find forest over
 // the labels themselves, with a node count per root. Edge insertions
-// union two label roots (O(α)). Edge deletions are deferred: the
-// O(1) update only checks that the endpoints share a label and records
-// them; Settle later reconciles every recorded deletion at once with one
-// interleaved multi-source search per touched class (see Settle). Every
-// query settles first, so callers always see the exact partition; a
-// caller that settles at its own quiescent points (after a repair has
-// re-linked the deleted node's neighbours) pays for searches on a
-// healed graph, where they meet after about one expansion. The search
-// scratch (generation-stamped visited maps and reusable queues) is
-// retained across calls, so steady-state updates allocate nothing.
+// union two label roots by size (O(α)). Edge deletions are deferred:
+// the O(1) update only checks that the endpoints share a label and
+// records them; Settle later reconciles every recorded deletion at once
+// with one interleaved multi-source search per touched class (see
+// Settle). Every query settles first, so callers always see the exact
+// partition; a caller that settles at its own quiescent points (after a
+// repair has re-linked the deleted node's neighbours) pays for searches
+// on a healed graph, where they meet after about one expansion.
+//
+// All state is dense. Per-node state (label, mark bit, record flag,
+// search stamp) is indexed by the node's slot in the graph, so searches
+// walk the graph's neighbour lists without a map lookup. Labels are
+// small integers indexing the per-label state (union–find parent, node
+// count, marked count); labels outlive their nodes, so once they
+// outnumber the graph's nodes twice over they are renumbered (tidy).
+// The search scratch is retained across calls, so steady-state updates
+// allocate nothing.
 //
 // Marks are an orthogonal per-node bit with per-component counts; the
 // Forgiving Graph driver marks the live nodes of G′ so MarkedCount
@@ -39,41 +46,48 @@ import (
 // bijective relabeling of it, and Relabel rebuilds the certificate from
 // the graph (the heal action when an audit detects corruption).
 type Components struct {
-	g      *Graph
-	comp   map[NodeID]int64 // node -> label
-	parent map[int64]int64  // label union-find; absent entry = self-root
-	size   map[int64]int    // root label -> nodes of g carrying it
-	next   int64            // last label handed out
-	count  int              // number of label classes with a node in g
+	g *Graph
 
-	marked      map[NodeID]struct{} // marked nodes
-	markedCnt   map[int64]int       // root label -> marked nodes in component
-	markedComps int                 // components with >= 1 marked node
+	// Per slot of g. label 0 is no label (a node never registered,
+	// or a vacant slot).
+	label   []int32
+	marked  []bool
+	pending []bool   // recorded in pend since the last Settle
+	stamp   []uint64 // search ownership, see settleClass
+
+	// Per label, index 0 unused. parent[l] == l at a root; size and
+	// markedCnt are meaningful at roots only.
+	parent    []int32
+	size      []int32 // nodes of g carrying the root's class
+	markedCnt []int32 // marked nodes in the root's class
+
+	count       int // number of label classes with a node in g
+	markedComps int // components with >= 1 marked node
 
 	// damaged is set when an update observes a state that cannot occur
 	// under correct maintenance (e.g. removing an edge whose endpoints
 	// already carry different labels). It is sticky until Relabel.
 	damaged bool
 
-	// pend holds the endpoints of the edge removals recorded since the
-	// last Settle, each once: visitB[v] == genB marks v as recorded.
-	pend []NodeID
+	// pend holds the slots of the edge-removal endpoints recorded since
+	// the last Settle, each once.
+	pend []int32
 
-	// Search scratch, retained across calls: visitA stamps search
-	// ownership (genA), queueA is the search queue, queueB collects a
-	// split-off side, seeds holds one class's searches.
-	visitA, visitB map[NodeID]uint64
-	genA, genB     uint64
-	queueA, queueB []NodeID
+	// Search scratch, retained across calls: gen is the last stamp
+	// handed out, queueA is the search queue, queueB collects a
+	// split-off side, seeds holds one class's searches, remap is
+	// tidy's renumbering.
+	gen            uint64
+	queueA, queueB []int32
 	seeds          []seed
+	remap          []int32
 }
 
-// seed is one search of a Settle: its start node and class root, plus
+// seed is one search of a Settle: its start slot and class root, plus
 // its slot in the class's union-find over searches (up) and, at a
 // group root, the group's queued-but-unexpanded node count (open).
 type seed struct {
-	root     int64
-	v        NodeID
+	root, v  int32
 	up, open int32
 }
 
@@ -81,54 +95,58 @@ type seed struct {
 // full BFS labeling. g is observed, not owned: the caller must report
 // every subsequent mutation through the On* methods.
 func NewComponents(g *Graph) *Components {
-	c := &Components{
-		g:         g,
-		comp:      make(map[NodeID]int64, g.NumNodes()),
-		parent:    make(map[int64]int64),
-		size:      make(map[int64]int),
-		marked:    make(map[NodeID]struct{}),
-		markedCnt: make(map[int64]int),
-		visitA:    make(map[NodeID]uint64),
-		visitB:    make(map[NodeID]uint64),
-		genB:      1,
-	}
+	c := &Components{g: g}
 	c.relabel()
 	return c
 }
 
-// fresh returns a never-used label (a self-root: no parent entry).
-func (c *Components) fresh() int64 {
-	c.next++
-	return c.next
+// extend zero-extends s to length n.
+func extend[T any](s []T, n int) []T {
+	return append(s, make([]T, n-len(s))...)
 }
 
-// find returns the root of a label with path compression. Labels with
-// no parent entry are their own root, so fresh labels cost nothing.
-func (c *Components) find(l int64) int64 {
-	r := l
-	for {
-		p, ok := c.parent[r]
-		if !ok || p == r {
-			break
-		}
-		r = p
+// sync extends the per-slot state to cover every slot of g.
+func (c *Components) sync() {
+	if n := len(c.g.ids); len(c.label) < n {
+		c.label = extend(c.label, n)
+		c.marked = extend(c.marked, n)
+		c.pending = extend(c.pending, n)
+		c.stamp = extend(c.stamp, n)
 	}
-	for l != r {
-		p := c.parent[l]
-		c.parent[l] = r
-		l = p
-	}
-	return r
 }
 
-// rootOf returns the component root of node v, creating a singleton
-// component defensively if v was never registered.
-func (c *Components) rootOf(v NodeID) int64 {
-	l, ok := c.comp[v]
-	if !ok {
-		l = c.fresh()
-		c.comp[v] = l
-		c.size[l] = 1
+// at returns v's slot in g, if v is present.
+func (c *Components) at(v NodeID) (int32, bool) {
+	c.sync()
+	return c.g.slot(v)
+}
+
+// fresh returns a never-used root label for a class of size nodes.
+func (c *Components) fresh(size int32) int32 {
+	l := int32(len(c.parent))
+	c.parent = append(c.parent, l)
+	c.size = append(c.size, size)
+	c.markedCnt = append(c.markedCnt, 0)
+	return l
+}
+
+// find returns the root of a label, halving the path as it goes.
+func (c *Components) find(l int32) int32 {
+	p := c.parent
+	for p[l] != l {
+		p[l] = p[p[l]]
+		l = p[l]
+	}
+	return l
+}
+
+// rootOf returns the component root of the node in slot s, creating a
+// singleton component defensively if it was never registered.
+func (c *Components) rootOf(s int32) int32 {
+	l := c.label[s]
+	if l == 0 {
+		l = c.fresh(1)
+		c.label[s] = l
 		c.count++
 		return l
 	}
@@ -151,15 +169,39 @@ func (c *Components) MarkedCount() int {
 // Same reports whether u and v carry labels in the same component.
 func (c *Components) Same(u, v NodeID) bool {
 	c.Settle()
-	lu, ok := c.comp[u]
+	su, ok := c.at(u)
 	if !ok {
 		return false
 	}
-	lv, ok := c.comp[v]
+	sv, ok := c.g.slot(v)
 	if !ok {
 		return false
 	}
-	return c.find(lu) == c.find(lv)
+	lu, lv := c.label[su], c.label[sv]
+	return lu != 0 && lv != 0 && (lu == lv || c.find(lu) == c.find(lv))
+}
+
+// CrossingNeighbor returns a neighbour x of u in the graph for which
+// Same(u, x) is false, if there is one: the local consistency check of
+// the labels around u. It settles once and finds u's root once, however
+// many neighbours u has.
+func (c *Components) CrossingNeighbor(u NodeID) (NodeID, bool) {
+	c.Settle()
+	s, ok := c.at(u)
+	if !ok || len(c.g.adj[s]) == 0 {
+		return 0, false
+	}
+	lu := c.label[s]
+	if lu == 0 {
+		return c.g.ids[c.g.adj[s][0].to], true
+	}
+	ru := c.find(lu)
+	for _, h := range c.g.adj[s] {
+		if l := c.label[h.to]; l != lu && (l == 0 || c.find(l) != ru) {
+			return c.g.ids[h.to], true
+		}
+	}
+	return 0, false
 }
 
 // Damaged reports whether an update observed an impossible state (a
@@ -173,65 +215,72 @@ func (c *Components) Damaged() bool {
 // not yet settled (0 when the labels are exact without a Settle).
 func (c *Components) Unsettled() int { return len(c.pend) }
 
-// OnAddNode registers a new isolated vertex as its own component.
+// OnAddNode registers a new isolated vertex as its own component. Call
+// it after g.AddNode.
 func (c *Components) OnAddNode(v NodeID) {
-	if _, ok := c.comp[v]; ok {
+	s, ok := c.at(v)
+	if !ok || c.label[s] != 0 {
 		return
 	}
-	f := c.fresh()
-	c.comp[v] = f
-	c.size[f] = 1
+	c.label[s] = c.fresh(1)
 	c.count++
 }
 
 // OnRemoveNode unregisters a vertex. The caller must have removed its
-// incident edges first (reporting each via OnRemoveEdge). Its label is
-// left in the union-find: with splits deferred, other nodes of its
-// class may still reach their root through it. A class whose last node
-// leaves stops counting at once, so the record only ever holds edge
-// endpoints.
+// incident edges first (reporting each via OnRemoveEdge); it may report
+// the removal before or after g.RemoveNode, as long as g gains no node
+// in between (the vacated slot is found through g's index, which keeps
+// it until the slot is reused). Its label is left in the union-find:
+// with splits deferred, other nodes of its class may still reach their
+// root through it. A class whose last node leaves stops counting at
+// once, so the record only ever holds edge endpoints.
 func (c *Components) OnRemoveNode(v NodeID) {
-	l, ok := c.comp[v]
+	s, ok := c.g.index[v]
 	if !ok {
 		return
 	}
-	c.Unmark(v)
+	if s < 0 {
+		s = ^s
+	}
+	c.sync()
+	l := c.label[s]
+	if l == 0 {
+		return
+	}
+	c.unmark(s)
 	r := c.find(l)
-	delete(c.comp, v)
+	c.label[s] = 0
 	if c.size[r]--; c.size[r] == 0 {
-		delete(c.size, r)
 		c.count--
 	}
-	// Labels outlive their nodes, so flatten the forest (every node
-	// straight to its root) once it holds more entries than nodes —
-	// O(n) per Θ(n) unions, keeping the map bounded by the node count.
-	if len(c.parent) > len(c.comp) {
-		for w, lw := range c.comp {
-			c.comp[w] = c.find(lw)
-		}
-		clear(c.parent)
-	}
+	c.tidy()
 }
 
 // OnAddEdge merges the endpoints' components (union of the label
 // roots). Call it only after g.AddEdge reported a new edge.
 func (c *Components) OnAddEdge(u, v NodeID) {
-	ru, rv := c.rootOf(u), c.rootOf(v)
+	su, oku := c.at(u)
+	sv, okv := c.g.slot(v)
+	if !oku || !okv {
+		c.damaged = true
+		return
+	}
+	ru, rv := c.rootOf(su), c.rootOf(sv)
 	if ru == rv {
 		return
 	}
-	if ru > rv {
+	if c.size[ru] < c.size[rv] {
 		ru, rv = rv, ru
 	}
 	c.parent[rv] = ru
 	c.size[ru] += c.size[rv]
-	delete(c.size, rv)
+	c.size[rv] = 0
 	if mv := c.markedCnt[rv]; mv > 0 {
 		if c.markedCnt[ru] > 0 {
 			c.markedComps--
 		}
 		c.markedCnt[ru] += mv
-		delete(c.markedCnt, rv)
+		c.markedCnt[rv] = 0
 	}
 	c.count--
 }
@@ -242,19 +291,21 @@ func (c *Components) OnAddEdge(u, v NodeID) {
 // the graph, which sets the damaged flag). The split check itself is
 // deferred to Settle.
 func (c *Components) OnRemoveEdge(u, v NodeID) {
-	if c.rootOf(u) != c.rootOf(v) {
+	su, oku := c.at(u)
+	sv, okv := c.g.slot(v)
+	if !oku || !okv || c.rootOf(su) != c.rootOf(sv) {
 		c.damaged = true
 		return
 	}
-	c.record(u)
-	c.record(v)
+	c.record(su)
+	c.record(sv)
 }
 
-// record adds v to the pending endpoints unless it is already there.
-func (c *Components) record(v NodeID) {
-	if c.visitB[v] != c.genB {
-		c.visitB[v] = c.genB
-		c.pend = append(c.pend, v)
+// record adds slot s to the pending endpoints unless it is already there.
+func (c *Components) record(s int32) {
+	if !c.pending[s] {
+		c.pending[s] = true
+		c.pend = append(c.pend, s)
 	}
 }
 
@@ -290,14 +341,15 @@ func (c *Components) Settle() {
 	if len(c.pend) == 0 {
 		return
 	}
+	c.sync()
 	ss := c.seeds[:0]
-	for _, v := range c.pend {
-		if l, ok := c.comp[v]; ok {
-			ss = append(ss, seed{root: c.find(l), v: v})
+	for _, s := range c.pend {
+		c.pending[s] = false
+		if l := c.label[s]; l != 0 {
+			ss = append(ss, seed{root: c.find(l), v: s})
 		}
 	}
 	c.pend = c.pend[:0]
-	c.genB++
 	slices.SortFunc(ss, func(a, b seed) int {
 		if a.root != b.root {
 			return cmp.Compare(a.root, b.root)
@@ -315,31 +367,33 @@ func (c *Components) Settle() {
 		lo = hi
 	}
 	c.seeds = ss[:0]
+	c.tidy()
 }
 
 // settleClass runs the interleaved multi-source search over one class
 // (every seed in ss carries its root), splitting off each group that
-// runs out while more than one remains. visitA stamps a visited node
+// runs out while more than one remains. stamp marks a visited slot
 // with base+1+i, where i is the search that reached it (groupOf maps i
 // to its group); stamps at or below base are stale.
 func (c *Components) settleClass(ss []seed) {
 	root := ss[0].root
-	base := c.genA
-	c.genA += uint64(len(ss))
+	base := c.gen
+	c.gen += uint64(len(ss))
 	q := c.queueA[:0]
 	for i := range ss {
 		ss[i].up, ss[i].open = int32(i), 1
-		c.visitA[ss[i].v] = base + 1 + uint64(i)
+		c.stamp[ss[i].v] = base + 1 + uint64(i)
 		q = append(q, ss[i].v)
 	}
-	owner := func(w NodeID) int32 { return groupOf(ss, int32(c.visitA[w]-base-1)) }
+	owner := func(w int32) int32 { return groupOf(ss, int32(c.stamp[w]-base-1)) }
 	groups := len(ss)
 	for h := 0; groups > 1; h++ {
 		g := owner(q[h])
-		for y := range c.g.adj[q[h]] {
-			st := c.visitA[y]
+		for _, e := range c.g.adj[q[h]] {
+			y := e.to
+			st := c.stamp[y]
 			if st <= base {
-				c.visitA[y] = base + 1 + uint64(g)
+				c.stamp[y] = base + 1 + uint64(g)
 				ss[g].open++
 				q = append(q, y)
 				continue
@@ -380,28 +434,22 @@ func groupOf(ss []seed, i int32) int32 {
 // splitOff relabels one enumerated side of a split as a fresh
 // component and adjusts the counts. oldRoot is the root label the
 // component carried before the split.
-func (c *Components) splitOff(side []NodeID, oldRoot int64) {
-	f := c.fresh()
-	mcnt := 0
+func (c *Components) splitOff(side []int32, oldRoot int32) {
+	f := c.fresh(int32(len(side)))
+	mcnt := int32(0)
 	for _, w := range side {
-		c.comp[w] = f
-		if _, ok := c.marked[w]; ok {
+		c.label[w] = f
+		if c.marked[w] {
 			mcnt++
 		}
 	}
-	c.size[f] = len(side)
-	c.size[oldRoot] -= len(side)
+	c.size[oldRoot] -= int32(len(side))
 	c.count++
 	if mcnt > 0 || c.markedCnt[oldRoot] > 0 {
 		before := c.markedCnt[oldRoot] > 0
 		c.markedCnt[oldRoot] -= mcnt
 		oldHas := c.markedCnt[oldRoot] > 0
-		if !oldHas {
-			delete(c.markedCnt, oldRoot)
-		}
-		if mcnt > 0 {
-			c.markedCnt[f] = mcnt
-		}
+		c.markedCnt[f] = mcnt
 		c.markedComps += b2i(oldHas) + b2i(mcnt > 0) - b2i(before)
 	}
 }
@@ -413,29 +461,74 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Mark sets the mark bit on v (idempotent).
-func (c *Components) Mark(v NodeID) {
-	if _, ok := c.marked[v]; ok {
+// tidy renumbers the labels once they outnumber g's nodes twice over
+// (plus slack): labels outlive their nodes and every split mints one,
+// so without it the per-label state would grow with the mutation
+// history instead of the graph. Every node is pointed straight at its
+// root and the roots still carried are numbered 1..k in label order,
+// which never moves a root's state upwards, so it is compacted in
+// place. O(slots + labels), amortized over the labels minted since the
+// last renumbering. Runs only where no label is held across the call.
+func (c *Components) tidy() {
+	if len(c.parent) <= 2*c.g.NumNodes()+64 {
 		return
 	}
-	c.marked[v] = struct{}{}
-	r := c.rootOf(v)
-	c.markedCnt[r]++
-	if c.markedCnt[r] == 1 {
+	remap := extend(c.remap[:0], len(c.parent))
+	for s, l := range c.label {
+		if l != 0 {
+			r := c.find(l)
+			c.label[s] = r
+			remap[r] = 1
+		}
+	}
+	k := int32(0)
+	for l := range remap {
+		if remap[l] != 0 {
+			k++
+			remap[l] = k
+			c.size[k], c.markedCnt[k] = c.size[l], c.markedCnt[l]
+		}
+	}
+	for s, l := range c.label {
+		if l != 0 {
+			c.label[s] = remap[l]
+		}
+	}
+	c.parent = c.parent[:k+1]
+	for l := range c.parent {
+		c.parent[l] = int32(l)
+	}
+	c.size, c.markedCnt = c.size[:k+1], c.markedCnt[:k+1]
+	c.remap = remap[:0]
+}
+
+// Mark sets the mark bit on v (idempotent). v must be in the graph.
+func (c *Components) Mark(v NodeID) {
+	s, ok := c.at(v)
+	if !ok || c.marked[s] {
+		return
+	}
+	c.marked[s] = true
+	r := c.rootOf(s)
+	if c.markedCnt[r]++; c.markedCnt[r] == 1 {
 		c.markedComps++
 	}
 }
 
 // Unmark clears the mark bit on v (idempotent).
 func (c *Components) Unmark(v NodeID) {
-	if _, ok := c.marked[v]; !ok {
+	if s, ok := c.at(v); ok {
+		c.unmark(s)
+	}
+}
+
+func (c *Components) unmark(s int32) {
+	if !c.marked[s] {
 		return
 	}
-	delete(c.marked, v)
-	r := c.rootOf(v)
-	c.markedCnt[r]--
-	if c.markedCnt[r] == 0 {
-		delete(c.markedCnt, r)
+	c.marked[s] = false
+	r := c.rootOf(s)
+	if c.markedCnt[r]--; c.markedCnt[r] == 0 {
 		c.markedComps--
 	}
 }
@@ -445,9 +538,13 @@ func (c *Components) Unmark(v NodeID) {
 // Used by the corruption campaign; never called in correct operation.
 func (c *Components) ForgeLabel(v NodeID) int64 {
 	c.Settle()
-	f := c.fresh()
-	c.comp[v] = f
-	return f
+	s, ok := c.at(v)
+	if !ok {
+		return 0
+	}
+	f := c.fresh(0)
+	c.label[s] = f
+	return int64(f)
 }
 
 // SkewCount is a fault-injection hook: it silently offsets the
@@ -464,58 +561,56 @@ func (c *Components) SkewCount(d int) {
 // nodes (restricted to nodes still present). This is the heal action
 // after detected corruption.
 func (c *Components) Relabel() {
-	clear(c.comp)
-	clear(c.parent)
-	clear(c.size)
-	clear(c.markedCnt)
+	for _, s := range c.pend {
+		c.pending[s] = false
+	}
 	c.pend = c.pend[:0]
-	c.genB++
 	c.relabel()
 }
 
 // relabel performs the full BFS labeling shared by NewComponents and
-// Relabel, recomputing count, size, markedCnt and markedComps.
+// Relabel, recomputing every label and counter. A cleared label doubles
+// as the search's unvisited mark.
 func (c *Components) relabel() {
-	c.count = 0
-	c.markedComps = 0
-	c.damaged = false
-	c.genA++
+	c.sync()
+	clear(c.label)
+	c.parent = append(c.parent[:0], 0)
+	c.size = append(c.size[:0], 0)
+	c.markedCnt = append(c.markedCnt[:0], 0)
+	c.count, c.markedComps, c.damaged = 0, 0, false
 	q := c.queueA[:0]
-	for _, src := range c.g.Nodes() {
-		if c.visitA[src] == c.genA {
+	for src, live := range c.g.live {
+		if !live {
+			c.marked[src] = false // drop marks on nodes no longer in the graph
 			continue
 		}
-		l := c.fresh()
+		if c.label[src] != 0 {
+			continue
+		}
+		l := c.fresh(0)
 		c.count++
-		mcnt := 0
-		c.visitA[src] = c.genA
-		q = append(q[:0], src)
+		c.label[src] = l
+		q = append(q[:0], int32(src))
+		mcnt := int32(0)
 		for i := 0; i < len(q); i++ {
 			w := q[i]
-			c.comp[w] = l
-			if _, ok := c.marked[w]; ok {
+			if c.marked[w] {
 				mcnt++
 			}
-			c.g.EachNeighbor(w, func(y NodeID) {
-				if c.visitA[y] != c.genA {
-					c.visitA[y] = c.genA
-					q = append(q, y)
+			for _, e := range c.g.adj[w] {
+				if c.label[e.to] == 0 {
+					c.label[e.to] = l
+					q = append(q, e.to)
 				}
-			})
+			}
 		}
-		c.size[l] = len(q)
+		c.size[l] = int32(len(q))
 		if mcnt > 0 {
 			c.markedCnt[l] = mcnt
 			c.markedComps++
 		}
 	}
 	c.queueA = q[:0]
-	// Drop marks on nodes no longer in the graph.
-	for v := range c.marked {
-		if !c.g.HasNode(v) {
-			delete(c.marked, v)
-		}
-	}
 }
 
 // Check settles, then recomputes the partition of g by BFS and verifies
@@ -525,58 +620,69 @@ func (c *Components) relabel() {
 // the incremental state is audited against.
 func (c *Components) Check() error {
 	c.Settle()
+	c.sync()
 	if c.damaged {
 		return fmt.Errorf("components: damaged flag set (inconsistent update observed)")
 	}
-	if len(c.comp) != c.g.NumNodes() {
-		return fmt.Errorf("components: %d labels for %d nodes", len(c.comp), c.g.NumNodes())
+	g := c.g
+	labels := 0
+	for s, l := range c.label {
+		if l != 0 {
+			labels++
+		}
+		if !g.live[s] && c.marked[s] {
+			return fmt.Errorf("components: marked node %d not in graph", g.ids[s])
+		}
 	}
-	seen := make(map[NodeID]bool, c.g.NumNodes())
-	certToBFS := make(map[int64]NodeID) // cert root -> BFS source (bijection check)
+	if labels != g.NumNodes() {
+		return fmt.Errorf("components: %d labels for %d nodes", labels, g.NumNodes())
+	}
+	seen := make([]bool, len(g.ids))
+	certToBFS := make([]int32, len(c.parent)) // cert root -> BFS source slot+1 (bijection check)
 	comps, markedComps := 0, 0
-	var q []NodeID
-	for _, src := range c.g.Nodes() {
-		if seen[src] {
+	var q []int32
+	for src, live := range g.live {
+		if !live || seen[src] {
 			continue
 		}
 		comps++
-		l, ok := c.comp[src]
-		if !ok {
-			return fmt.Errorf("components: node %d has no label", src)
+		l := c.label[src]
+		if l == 0 {
+			return fmt.Errorf("components: node %d has no label", g.ids[src])
 		}
 		root := c.find(l)
-		if prev, dup := certToBFS[root]; dup {
-			return fmt.Errorf("components: label root %d spans BFS components of %d and %d", root, prev, src)
+		if prev := certToBFS[root]; prev != 0 {
+			return fmt.Errorf("components: label root %d spans BFS components of %d and %d", root, g.ids[prev-1], g.ids[src])
 		}
-		certToBFS[root] = src
-		mcnt := 0
+		certToBFS[root] = int32(src) + 1
+		mcnt := int32(0)
 		seen[src] = true
-		q = append(q[:0], src)
+		q = append(q[:0], int32(src))
 		for i := 0; i < len(q); i++ {
 			w := q[i]
-			lw, ok := c.comp[w]
-			if !ok {
-				return fmt.Errorf("components: node %d has no label", w)
+			lw := c.label[w]
+			if lw == 0 {
+				return fmt.Errorf("components: node %d has no label", g.ids[w])
 			}
 			if c.find(lw) != root {
 				return fmt.Errorf("components: node %d (root %d) disagrees with BFS component of %d (root %d)",
-					w, c.find(lw), src, root)
+					g.ids[w], c.find(lw), g.ids[src], root)
 			}
-			if _, ok := c.marked[w]; ok {
+			if c.marked[w] {
 				mcnt++
 			}
-			c.g.EachNeighbor(w, func(y NodeID) {
-				if !seen[y] {
-					seen[y] = true
-					q = append(q, y)
+			for _, e := range g.adj[w] {
+				if !seen[e.to] {
+					seen[e.to] = true
+					q = append(q, e.to)
 				}
-			})
+			}
 		}
-		if got := c.size[root]; got != len(q) {
-			return fmt.Errorf("components: component of %d has %d nodes, counter says %d", src, len(q), got)
+		if got := c.size[root]; int(got) != len(q) {
+			return fmt.Errorf("components: component of %d has %d nodes, counter says %d", g.ids[src], len(q), got)
 		}
 		if got := c.markedCnt[root]; got != mcnt {
-			return fmt.Errorf("components: component of %d has %d marked nodes, counter says %d", src, mcnt, got)
+			return fmt.Errorf("components: component of %d has %d marked nodes, counter says %d", g.ids[src], mcnt, got)
 		}
 		if mcnt > 0 {
 			markedComps++
@@ -585,16 +691,17 @@ func (c *Components) Check() error {
 	if comps != c.count {
 		return fmt.Errorf("components: %d components, counter says %d", comps, c.count)
 	}
-	if len(c.size) != comps {
-		return fmt.Errorf("components: %d sized classes for %d components", len(c.size), comps)
+	sized := 0
+	for l := 1; l < len(c.parent); l++ {
+		if c.parent[l] == int32(l) && c.size[l] != 0 {
+			sized++
+		}
+	}
+	if sized != comps {
+		return fmt.Errorf("components: %d sized classes for %d components", sized, comps)
 	}
 	if markedComps != c.markedComps {
 		return fmt.Errorf("components: %d marked components, counter says %d", markedComps, c.markedComps)
-	}
-	for v := range c.marked {
-		if !c.g.HasNode(v) {
-			return fmt.Errorf("components: marked node %d not in graph", v)
-		}
 	}
 	return nil
 }

@@ -209,7 +209,8 @@ func TestComponentsSplitMerge(t *testing.T) {
 }
 
 // TestComponentsCorruptionHooks verifies the fault-injection hooks are
-// detected by Check and healed by Relabel.
+// detected by Check (a forged label also by CrossingNeighbor, on both
+// ends of the edge it breaks) and healed by Relabel.
 func TestComponentsCorruptionHooks(t *testing.T) {
 	g := New()
 	c := NewComponents(g)
@@ -227,9 +228,20 @@ func TestComponentsCorruptionHooks(t *testing.T) {
 	if err := c.Check(); err == nil {
 		t.Fatal("Check missed a forged label")
 	}
+	for _, v := range []NodeID{1, 2} {
+		if x, ok := c.CrossingNeighbor(v); !ok || x != 3-v {
+			t.Fatalf("CrossingNeighbor(%d) = %d, %v; want the forged edge's other end", v, x, ok)
+		}
+	}
+	if x, ok := c.CrossingNeighbor(3); ok {
+		t.Fatalf("CrossingNeighbor(3) = %d across an intact edge", x)
+	}
 	c.Relabel()
 	if err := c.Check(); err != nil {
 		t.Fatalf("Relabel did not heal forged label: %v", err)
+	}
+	if x, ok := c.CrossingNeighbor(2); ok {
+		t.Fatalf("CrossingNeighbor(2) = %d after Relabel", x)
 	}
 	if c.Count() != 2 || c.MarkedCount() != 2 {
 		t.Fatalf("post-heal counts wrong: %d/%d", c.Count(), c.MarkedCount())

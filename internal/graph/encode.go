@@ -31,8 +31,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("graph: decode: %w", err)
 	}
-	g.adj = make(map[NodeID]map[NodeID]struct{}, len(jg.Nodes))
-	g.m = 0
+	*g = *New()
 	for _, u := range jg.Nodes {
 		g.AddNode(u)
 	}
