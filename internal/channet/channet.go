@@ -49,10 +49,10 @@
 // # No bandwidth model
 //
 // Congestion is a property of the synchronous simulator, not of this
-// backend: EdgeBudget is always 0 (sender-side pacing degenerates to
-// plain sends) and the SetBandwidth family panics on a positive cap.
-// Bandwidth and congestion experiments are simnet-only; see
-// EXPERIMENTS.md.
+// backend: the network embeds transport.NoBandwidth, so EdgeBudget is
+// always 0 (sender-side pacing degenerates to plain sends) and the
+// SetBandwidth family panics on a positive cap. Bandwidth and
+// congestion experiments are simnet-only; see EXPERIMENTS.md.
 package channet
 
 import (
@@ -118,6 +118,8 @@ func (nd *node) take() (entry, bool) {
 // only be called between Steps; handler-facing methods (Send,
 // SendTimer, ...) are safe from any handler goroutine mid-pulse.
 type Network struct {
+	transport.NoBandwidth
+
 	// nodes is written only while frozen; handlers read it
 	// concurrently during a pulse (lookups for sends), which is safe
 	// because no writer can run then.
@@ -147,14 +149,9 @@ type Network struct {
 	timers   transport.Timers
 	fired    []transport.Message
 
-	// statsMu guards the traffic counters below.
-	statsMu     sync.Mutex
-	stats       transport.Stats
-	sentBy      map[NodeID]int
-	dropped     int
-	sawElection bool // classes seen this pulse, folded into
-	sawSync     bool // ElectionRounds/SyncRounds at pulse end
-	sawAudit    bool // ... and AuditRounds
+	// statsMu guards traffic: handlers book deliveries concurrently.
+	statsMu sync.Mutex
+	traffic transport.Traffic
 
 	// rng, when non-nil, selects the single-threaded deterministic
 	// scheduler: it picks which nonempty inbox delivers next.
@@ -165,10 +162,7 @@ type Network struct {
 // every processor's inbox is drained by its own goroutine and the Go
 // scheduler chooses the interleaving.
 func New() *Network {
-	return &Network{
-		nodes:  make(map[NodeID]*node),
-		sentBy: make(map[NodeID]int),
-	}
+	return &Network{nodes: make(map[NodeID]*node)}
 }
 
 // NewSeeded returns an empty network in deterministic mode: a single
@@ -215,19 +209,13 @@ func (n *Network) RemoveNode(id NodeID) {
 	if k := len(nd.inbox); k > 0 {
 		n.inflight.Add(int64(-k))
 		n.statsMu.Lock()
-		n.dropped += k
+		n.traffic.Drop(k)
 		n.statsMu.Unlock()
 		nd.inbox = nil
 	}
 	n.timersMu.Lock()
 	n.timers.RemoveOwner(id)
 	n.timersMu.Unlock()
-}
-
-// HasNode reports whether a processor is registered.
-func (n *Network) HasNode(id NodeID) bool {
-	_, ok := n.nodes[id]
-	return ok
 }
 
 // SkewClock perturbs one processor's logical clock by delta — a fault-
@@ -323,7 +311,7 @@ func (n *Network) deliverTo(to NodeID, e entry) {
 	nd, ok := n.nodes[to]
 	if !ok {
 		n.statsMu.Lock()
-		n.dropped++
+		n.traffic.Drop(1)
 		n.statsMu.Unlock()
 		return
 	}
@@ -349,36 +337,6 @@ func (n *Network) deliverTo(to NodeID, e entry) {
 	}
 }
 
-// EdgeBudget is always 0: channet has no bandwidth model, so
-// sender-side pacing degenerates to plain sends.
-func (n *Network) EdgeBudget(from, to NodeID) int { return 0 }
-
-// Bandwidth returns 0: unlimited, always.
-func (n *Network) Bandwidth() int { return 0 }
-
-// SetBandwidth accepts only 0. Congestion modeling is simnet-only;
-// asking this backend to cap an edge is a configuration error, not
-// something to silently ignore.
-func (n *Network) SetBandwidth(words int) {
-	if words != 0 {
-		panic("channet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
-// SetEdgeBandwidth accepts only non-positive words (cap removal).
-func (n *Network) SetEdgeBandwidth(from, to NodeID, words int) {
-	if words > 0 {
-		panic("channet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
-// SetNodeBandwidth accepts only non-positive words (cap removal).
-func (n *Network) SetNodeBandwidth(id NodeID, words int) {
-	if words > 0 {
-		panic("channet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
 // Step runs one macro-pulse: deliver every queued message (cascades
 // included) until nothing is in flight; if that found no messages at
 // all and timers are armed, fire the earliest-due timer batch and
@@ -391,19 +349,7 @@ func (n *Network) Step() int {
 		delivered = n.drain()
 	}
 	n.statsMu.Lock()
-	if delivered > 0 {
-		n.stats.Rounds++
-		if n.sawElection {
-			n.stats.ElectionRounds++
-		}
-		if n.sawSync {
-			n.stats.SyncRounds++
-		}
-		if n.sawAudit {
-			n.stats.AuditRounds++
-		}
-	}
-	n.sawElection, n.sawSync, n.sawAudit = false, false, false
+	n.traffic.EndPulse(delivered)
 	n.statsMu.Unlock()
 	return delivered
 }
@@ -445,7 +391,9 @@ func (n *Network) drainConcurrent() int {
 				if d := delivered.Add(1); d > maxPulseDeliveries {
 					panic("channet: runaway pulse (protocol livelock?)")
 				}
-				n.book(e.msg)
+				n.statsMu.Lock()
+				n.traffic.Deliver(e.msg)
+				n.statsMu.Unlock()
 				nd.h(n, e.msg)
 				if n.inflight.Add(-1) == 0 {
 					once.Do(func() { close(done) })
@@ -485,7 +433,9 @@ func (n *Network) drainSeeded() int {
 		if delivered > maxPulseDeliveries {
 			panic("channet: runaway pulse (protocol livelock?)")
 		}
-		n.book(e.msg)
+		n.statsMu.Lock()
+		n.traffic.Deliver(e.msg)
+		n.statsMu.Unlock()
 		nd.h(n, e.msg)
 		n.inflight.Add(-1)
 	}
@@ -523,36 +473,6 @@ func (n *Network) fireEarliest() bool {
 	return len(batch) > 0
 }
 
-// book folds one delivered network message into the stats; timers are
-// local wake-ups and aren't traffic.
-func (n *Network) book(m transport.Message) {
-	if m.Timer {
-		return
-	}
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	n.stats.Messages++
-	n.stats.TotalWords += m.Words
-	if m.Words > n.stats.MaxWords {
-		n.stats.MaxWords = m.Words
-	}
-	n.sentBy[m.From]++
-	if n.sentBy[m.From] > n.stats.MaxSentByNode {
-		n.stats.MaxSentByNode = n.sentBy[m.From]
-	}
-	switch m.Class {
-	case transport.ClassElection:
-		n.stats.ElectionMessages++
-		n.sawElection = true
-	case transport.ClassSync:
-		n.stats.SyncMessages++
-		n.sawSync = true
-	case transport.ClassAudit:
-		n.stats.AuditMessages++
-		n.sawAudit = true
-	}
-}
-
 // Pending reports how many messages and timers await delivery.
 func (n *Network) Pending() int {
 	n.timersMu.Lock()
@@ -561,24 +481,13 @@ func (n *Network) Pending() int {
 	return int(n.inflight.Load()) + t
 }
 
-// PendingWords sums the sizes of all waiting network messages.
-func (n *Network) PendingWords() int {
-	words := 0
-	for _, nd := range n.nodes {
-		for _, e := range nd.inbox {
-			words += e.msg.Words
-		}
-	}
-	return words
-}
-
 // Dropped returns the number of network messages addressed to dead
 // processors (messages queued at removal plus later sends to the dead
 // node). Purged timers are not counted — they are not network traffic.
 func (n *Network) Dropped() int {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	return n.dropped
+	return n.traffic.Dropped()
 }
 
 // Stats returns a copy of the traffic statistics accumulated since
@@ -586,13 +495,12 @@ func (n *Network) Dropped() int {
 func (n *Network) Stats() transport.Stats {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	return n.stats
+	return n.traffic.Stats()
 }
 
 // ResetStats zeroes the traffic statistics.
 func (n *Network) ResetStats() {
 	n.statsMu.Lock()
 	defer n.statsMu.Unlock()
-	n.stats = transport.Stats{}
-	n.sentBy = make(map[NodeID]int)
+	n.traffic.ResetStats()
 }

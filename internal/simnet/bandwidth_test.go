@@ -16,8 +16,8 @@ type delivery struct {
 	Payload  any
 }
 
-func recorder(log *[]delivery) Handler {
-	return func(n transport.Endpoint, m Message) {
+func recorder(log *[]delivery) transport.Handler {
+	return func(n transport.Endpoint, m transport.Message) {
 		*log = append(*log, delivery{Round: n.Round(), From: m.From, To: m.To, Payload: m.Payload})
 	}
 }
@@ -141,7 +141,7 @@ func TestTimersNeverConsumeBandwidth(t *testing.T) {
 
 func TestPendingCountsBacklog(t *testing.T) {
 	n := New()
-	n.AddNode(1, func(transport.Endpoint, Message) {})
+	n.AddNode(1, func(transport.Endpoint, transport.Message) {})
 	n.SetBandwidth(1)
 	n.Send(2, 1, "a", 1)
 	n.Send(2, 1, "b", 3)
@@ -202,13 +202,13 @@ func TestBandwidthDeterministicOrder(t *testing.T) {
 		var logs [5][]delivery // one slot per receiver
 		for _, id := range []NodeID{1, 2, 3} {
 			id := id
-			n.AddNode(id, func(net transport.Endpoint, m Message) {
+			n.AddNode(id, func(net transport.Endpoint, m transport.Message) {
 				logs[id] = append(logs[id], delivery{Round: net.Round(), From: m.From, To: m.To, Payload: m.Payload})
 			})
 		}
 		// Node 4 echoes one hop onward so spill-over interleaves with
 		// fresh sends.
-		n.AddNode(4, func(net transport.Endpoint, m Message) {
+		n.AddNode(4, func(net transport.Endpoint, m transport.Message) {
 			logs[4] = append(logs[4], delivery{Round: net.Round(), From: m.From, To: m.To, Payload: m.Payload})
 			net.Send(4, 1, "echo", 2)
 		})
@@ -235,7 +235,7 @@ func TestBandwidthDeterministicOrder(t *testing.T) {
 // TestBandwidthUnlimitedIsBitForBit: a huge cap must behave exactly
 // like the unlimited default, congestion counters included.
 func TestBandwidthUnlimitedIsBitForBit(t *testing.T) {
-	run := func(cap int) ([]delivery, Stats, int) {
+	run := func(cap int) ([]delivery, transport.Stats, int) {
 		n := New()
 		var log []delivery
 		h := recorder(&log)

@@ -34,41 +34,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/transport"
 )
 
-// NodeID identifies a processor, shared with package graph.
-type NodeID = graph.NodeID
-
-// The wire-level vocabulary lives in package transport so that every
-// backend (this simulator, channet's goroutine scheduler) shares one
-// set of types; the aliases keep simnet's historical API intact.
-type (
-	// Class tags a message with its accounting role; see transport.Class.
-	Class = transport.Class
-	// Message is a unit of communication between two processors.
-	Message = transport.Message
-	// Handler is the per-processor message handler. It may call Send,
-	// SendTimer, and the accessors on the network, but must not call
-	// Step.
-	Handler = transport.Handler
-	// Stats aggregates traffic since the last ResetStats.
-	Stats = transport.Stats
-)
-
-const (
-	// ClassData is ordinary protocol traffic (the default).
-	ClassData = transport.ClassData
-	// ClassElection marks leader-election tournament messages.
-	ClassElection = transport.ClassElection
-	// ClassSync marks termination-detection traffic: walk acks,
-	// convergecast dones, and phase-completion reports.
-	ClassSync = transport.ClassSync
-	// ClassAudit marks the self-stabilizing audit layer's background
-	// traffic (checksum probes and their replies).
-	ClassAudit = transport.ClassAudit
-)
+// NodeID identifies a processor, shared with package transport.
+type NodeID = transport.NodeID
 
 // Network implements transport.Transport as the deterministic
 // round-synchronous measurement backend.
@@ -83,9 +53,9 @@ type edgeKey struct {
 // Network is a set of processors exchanging messages in lock-step
 // rounds. The zero value is not usable; construct with New.
 type Network struct {
-	handlers map[NodeID]Handler
-	queue    []Message        // to be delivered at the next Step
-	timers   transport.Timers // armed timers, due by round number
+	handlers map[NodeID]transport.Handler
+	queue    []transport.Message // to be delivered at the next Step
+	timers   transport.Timers    // armed timers, due by round number
 	round    int
 	seq      int
 
@@ -97,14 +67,12 @@ type Network struct {
 	edgeCap   map[edgeKey]int
 	nodeCap   map[NodeID]int
 
-	stats   Stats
-	sentBy  map[NodeID]int
-	dropped int
+	traffic transport.Traffic
 
 	// spare recycles the delivered batch's backing array into the next
 	// round's queue, and sorter wraps the batch for sort.Sort — both
 	// keep the steady-state Step free of per-round allocations.
-	spare  []Message
+	spare  []transport.Message
 	sorter batchSorter
 }
 
@@ -112,7 +80,7 @@ type Network struct {
 // order (receiver, then sender, then send sequence). A pointer to it
 // satisfies sort.Interface without the per-call allocations of
 // sort.Slice.
-type batchSorter struct{ msgs []Message }
+type batchSorter struct{ msgs []transport.Message }
 
 func (b *batchSorter) Len() int      { return len(b.msgs) }
 func (b *batchSorter) Swap(i, j int) { b.msgs[i], b.msgs[j] = b.msgs[j], b.msgs[i] }
@@ -129,14 +97,11 @@ func (b *batchSorter) Less(i, j int) bool {
 
 // New returns an empty network at round 0.
 func New() *Network {
-	return &Network{
-		handlers: make(map[NodeID]Handler),
-		sentBy:   make(map[NodeID]int),
-	}
+	return &Network{handlers: make(map[NodeID]transport.Handler)}
 }
 
 // AddNode registers a processor. Re-registering replaces the handler.
-func (n *Network) AddNode(id NodeID, h Handler) {
+func (n *Network) AddNode(id NodeID, h transport.Handler) {
 	if h == nil {
 		panic("simnet: nil handler")
 	}
@@ -154,7 +119,7 @@ func (n *Network) RemoveNode(id NodeID) {
 	keepQ := n.queue[:0]
 	for _, m := range n.queue {
 		if m.To == id && !m.Timer {
-			n.dropped++
+			n.traffic.Drop(1)
 			continue
 		}
 		keepQ = append(keepQ, m)
@@ -182,10 +147,6 @@ func (n *Network) SetBandwidth(words int) {
 	}
 	n.bandwidth = words
 }
-
-// Bandwidth returns the global per-edge words-per-round cap (0 =
-// unlimited).
-func (n *Network) Bandwidth() int { return n.bandwidth }
 
 // SetEdgeBandwidth overrides the capacity of one directed edge,
 // modeling heterogeneous links. words <= 0 removes the override,
@@ -253,7 +214,7 @@ func (n *Network) EdgeBudget(from, to NodeID) int {
 // message, so progress is guaranteed even for messages larger than the
 // cap. Timers bypass the check entirely: they are local wake-ups, not
 // link traffic.
-func (n *Network) applyBandwidth(batch []Message) []Message {
+func (n *Network) applyBandwidth(batch []transport.Message) []transport.Message {
 	if n.bandwidth <= 0 && len(n.edgeCap) == 0 && len(n.nodeCap) == 0 {
 		return batch
 	}
@@ -282,14 +243,8 @@ func (n *Network) applyBandwidth(batch []Message) []Message {
 		}
 		out = append(out, m)
 	}
-	if len(backlog) > 0 {
-		n.stats.CongestionRounds++
-		for _, w := range backlog {
-			n.stats.QueuedWords += w
-			if w > n.stats.MaxEdgeBacklog {
-				n.stats.MaxEdgeBacklog = w
-			}
-		}
+	for _, w := range backlog {
+		n.traffic.Defer(w)
 	}
 	return out
 }
@@ -297,24 +252,25 @@ func (n *Network) applyBandwidth(batch []Message) []Message {
 // Send enqueues a message for delivery in the next round. Words must
 // reflect the payload size in O(log n)-bit words and be at least 1.
 func (n *Network) Send(from, to NodeID, payload any, words int) {
-	n.SendClass(from, to, payload, words, ClassData)
+	n.SendClass(from, to, payload, words, transport.ClassData)
 }
 
-// SendClass is Send with an explicit accounting class (see Class).
+// SendClass is Send with an explicit accounting class (see
+// transport.Class).
 // Sends to unregistered (dead) targets are dropped and counted here —
 // the send is the earliest point the backend knows the target is dead.
 // The sequence number is still consumed, so the deterministic delivery
 // order of the surviving traffic is unchanged.
-func (n *Network) SendClass(from, to NodeID, payload any, words int, class Class) {
+func (n *Network) SendClass(from, to NodeID, payload any, words int, class transport.Class) {
 	if words < 1 {
 		panic(fmt.Sprintf("simnet: message with %d words", words))
 	}
 	n.seq++
 	if _, ok := n.handlers[to]; !ok {
-		n.dropped++
+		n.traffic.Drop(1)
 		return
 	}
-	n.queue = append(n.queue, Message{
+	n.queue = append(n.queue, transport.Message{
 		From: from, To: to, Payload: payload, Words: words, Class: class, Seq: n.seq,
 	})
 }
@@ -350,8 +306,6 @@ func (n *Network) Step() int {
 	n.sorter.msgs = nil
 	batch = n.applyBandwidth(batch)
 	delivered := 0
-	n.stats.Rounds++
-	var classes roundClasses
 	for _, m := range batch {
 		h, ok := n.handlers[m.To]
 		if !ok {
@@ -359,61 +313,17 @@ func (n *Network) Step() int {
 			// counted at send or at RemoveNode, never here. Timers are
 			// never counted as Dropped.
 			if !m.Timer {
-				n.dropped++
+				n.traffic.Drop(1)
 			}
 			continue
 		}
-		if !m.Timer {
-			n.bookDelivery(m, &classes)
-		}
+		n.traffic.Deliver(m)
 		delivered++
 		h(n, m)
 	}
-	classes.book(&n.stats)
+	n.traffic.EndPulse(delivered)
 	n.spare = batch[:0]
 	return delivered
-}
-
-// roundClasses records which accounting classes saw a delivery this
-// round, so ElectionRounds/SyncRounds count rounds, not messages.
-type roundClasses struct {
-	election, sync, audit bool
-}
-
-func (c *roundClasses) book(s *Stats) {
-	if c.election {
-		s.ElectionRounds++
-	}
-	if c.sync {
-		s.SyncRounds++
-	}
-	if c.audit {
-		s.AuditRounds++
-	}
-}
-
-// bookDelivery folds one delivered network message into the stats.
-func (n *Network) bookDelivery(m Message, classes *roundClasses) {
-	n.stats.Messages++
-	n.stats.TotalWords += m.Words
-	if m.Words > n.stats.MaxWords {
-		n.stats.MaxWords = m.Words
-	}
-	n.sentBy[m.From]++
-	if n.sentBy[m.From] > n.stats.MaxSentByNode {
-		n.stats.MaxSentByNode = n.sentBy[m.From]
-	}
-	switch m.Class {
-	case ClassElection:
-		n.stats.ElectionMessages++
-		classes.election = true
-	case ClassSync:
-		n.stats.SyncMessages++
-		classes.sync = true
-	case ClassAudit:
-		n.stats.AuditMessages++
-		classes.audit = true
-	}
 }
 
 // RunUntilQuiescent steps the network until no messages or timers remain
@@ -446,15 +356,12 @@ func (n *Network) PendingWords() int {
 }
 
 // Dropped returns the number of messages addressed to dead processors.
-func (n *Network) Dropped() int { return n.dropped }
+func (n *Network) Dropped() int { return n.traffic.Dropped() }
 
 // Stats returns a copy of the traffic statistics accumulated since the
 // last ResetStats.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() transport.Stats { return n.traffic.Stats() }
 
 // ResetStats zeroes the traffic statistics (typically between recovery
 // phases, so each repair is measured in isolation).
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	n.sentBy = make(map[NodeID]int)
-}
+func (n *Network) ResetStats() { n.traffic.ResetStats() }

@@ -8,7 +8,7 @@ import (
 func TestSendAndDeliver(t *testing.T) {
 	n := New()
 	var got []string
-	n.AddNode(1, func(net transport.Endpoint, m Message) {
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {
 		got = append(got, m.Payload.(string))
 	})
 	n.Send(2, 1, "hello", 1)
@@ -24,7 +24,7 @@ func TestRoundSemantics(t *testing.T) {
 	// A message sent during round r is delivered in round r+1, not r.
 	n := New()
 	var deliveries []int
-	n.AddNode(1, func(net transport.Endpoint, m Message) {
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {
 		deliveries = append(deliveries, net.Round())
 		if m.Payload == "first" {
 			net.Send(1, 1, "second", 1)
@@ -47,7 +47,7 @@ func TestDeterministicOrder(t *testing.T) {
 	run := func() []NodeID {
 		n := New()
 		var order []NodeID
-		h := func(net transport.Endpoint, m Message) { order = append(order, m.From) }
+		h := func(net transport.Endpoint, m transport.Message) { order = append(order, m.From) }
 		n.AddNode(1, h)
 		n.AddNode(2, h)
 		// Send in scrambled order; delivery must sort by (to, from, seq).
@@ -69,7 +69,7 @@ func TestDeterministicOrder(t *testing.T) {
 
 func TestDeadNodeDrops(t *testing.T) {
 	n := New()
-	n.AddNode(1, func(net transport.Endpoint, m Message) {})
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {})
 	n.RemoveNode(1)
 	n.Send(0, 1, "x", 1)
 	n.Step()
@@ -84,7 +84,7 @@ func TestDeadNodeDrops(t *testing.T) {
 func TestTimer(t *testing.T) {
 	n := New()
 	var fired int
-	n.AddNode(1, func(net transport.Endpoint, m Message) {
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {
 		if m.Payload == "timer" {
 			fired = net.Round()
 		}
@@ -108,8 +108,8 @@ func TestTimer(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	n := New()
-	n.AddNode(1, func(net transport.Endpoint, m Message) {})
-	n.AddNode(2, func(net transport.Endpoint, m Message) {})
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) {})
+	n.AddNode(2, func(net transport.Endpoint, m transport.Message) {})
 	n.Send(5, 1, "a", 2)
 	n.Send(5, 2, "b", 7)
 	n.Send(6, 1, "c", 1)
@@ -133,8 +133,8 @@ func TestStatsAccounting(t *testing.T) {
 func TestRunUntilQuiescentBound(t *testing.T) {
 	n := New()
 	// Ping-pong forever.
-	n.AddNode(1, func(net transport.Endpoint, m Message) { net.Send(1, 2, "p", 1) })
-	n.AddNode(2, func(net transport.Endpoint, m Message) { net.Send(2, 1, "p", 1) })
+	n.AddNode(1, func(net transport.Endpoint, m transport.Message) { net.Send(1, 2, "p", 1) })
+	n.AddNode(2, func(net transport.Endpoint, m transport.Message) { net.Send(2, 1, "p", 1) })
 	n.Send(0, 1, "start", 1)
 	if _, err := n.RunUntilQuiescent(20); err == nil {
 		t.Fatal("expected quiescence-bound error")
@@ -163,7 +163,7 @@ func TestHasNode(t *testing.T) {
 	if n.HasNode(3) {
 		t.Fatal("empty network has node")
 	}
-	n.AddNode(3, func(transport.Endpoint, Message) {})
+	n.AddNode(3, func(transport.Endpoint, transport.Message) {})
 	if !n.HasNode(3) {
 		t.Fatal("node missing after AddNode")
 	}

@@ -1,30 +1,20 @@
 package transport
 
-import "context"
-
-// This file defines the asynchronous control plane: the driver-side
-// contract a backend must offer when delivery happens on real links
-// (goroutines today, TCP streams between OS processes in
-// internal/wirenet) rather than in frozen-world Step pulses.
+// This file defines the control plane the dist driver loop runs on:
+// the driver-side contract a backend offers, whether delivery happens
+// in frozen-world Step pulses (simnet, channet) or on real links
+// between OS processes (internal/wirenet).
 //
 // The data plane is unchanged — handlers still see Endpoint, and the
-// protocol neither knows nor cares which control plane drives it. What
-// changes is how the *driver* observes the network: instead of calling
-// Step and then freely reading state (valid only because nothing runs
-// between Steps), an async driver
+// protocol neither knows nor cares which control plane drives it. The
+// driver requests progress with Pulse, which blocks until the network
+// reaches a quiescent point (nothing deliverable without firing a
+// timer) and reports what happened, and releases the backend with
+// Close. Between two Pulses no handler runs, so the driver may read
+// processor state, add and remove nodes, and inject messages.
 //
-//   - starts the backend with Drive(ctx) and stops it with Close,
-//   - requests progress with Pulse, which blocks until the network
-//     reaches a quiescent point (nothing deliverable without firing a
-//     timer) and reports what happened,
-//   - watches Quiesced for unsolicited quiescence notifications, and
-//   - schedules state reads with At, which runs a closure at a safe
-//     point — a moment when no handler is running and none will start
-//     until the closure returns.
-//
-// Synchronous backends get all of this for free via NewDriver: between
-// Steps *every* point is a safe point, so Pulse is Step+Pending, At
-// runs inline, and Drive is a no-op.
+// Synchronous backends get this for free via NewDriver: Pulse is
+// Step+Pending and Close does nothing.
 
 // Quiet describes one quiescent point of the network: the moment a
 // Pulse finished because nothing more was deliverable.
@@ -37,21 +27,11 @@ type Quiet struct {
 	Pending int
 }
 
-// Driver is the asynchronous substrate contract the dist driver loop
-// runs on. Synchronous Transports are adapted by NewDriver; the wire
-// backend implements it natively.
+// Driver is the substrate contract the dist driver loop runs on.
+// Synchronous Transports are adapted by NewDriver; the wire backend
+// implements it natively.
 type Driver interface {
 	Plane
-
-	// Drive starts the backend's machinery (worker processes, link
-	// readers) and returns once it is ready to deliver. The backend
-	// shuts down when ctx is canceled or Close is called. Calling
-	// Drive on an already-driven or synchronous backend is a no-op.
-	Drive(ctx context.Context) error
-	// Close releases everything Drive started (kills worker
-	// processes, closes sockets). Safe to call multiple times and on
-	// backends that were never driven.
-	Close() error
 
 	// Pulse requests one unit of progress and blocks until the
 	// network quiesces: all deliverable traffic has been handed to
@@ -61,16 +41,9 @@ type Driver interface {
 	// and none will run until the next Pulse (driver-originated sends
 	// are buffered, not delivered).
 	Pulse() Quiet
-	// Quiesced reports quiescent points asynchronously: after each
-	// Pulse the reached Quiet is published here (latest-wins, never
-	// blocking the backend). Drivers that only Pulse synchronously may
-	// ignore it; monitoring loops select on it.
-	Quiesced() <-chan Quiet
-	// At runs fn at a safe point — no handler running, none starting
-	// until fn returns — and blocks until fn has run. Drivers use it
-	// to read multi-part state (Stats + Pending + processor state)
-	// consistently while the network is live.
-	At(fn func())
+	// Close releases the backend's machinery (kills worker processes,
+	// closes sockets). Safe to call multiple times.
+	Close() error
 }
 
 // Unwrapper is implemented by Driver adapters that wrap a Transport.
@@ -88,44 +61,18 @@ func NewDriver(t Transport) Driver {
 	if d, ok := t.(Driver); ok {
 		return d
 	}
-	return &syncDriver{Transport: t, quiesced: make(chan Quiet, 1)}
+	return syncDriver{t}
 }
 
 // syncDriver is the compatibility shim: a frozen-world Transport
-// already satisfies every control-plane obligation trivially, because
-// between Steps the whole world is one long safe point.
-type syncDriver struct {
-	Transport
-	quiesced chan Quiet
+// already satisfies the control plane trivially, because between
+// Steps the whole world is one long safe point.
+type syncDriver struct{ Transport }
+
+func (d syncDriver) Pulse() Quiet {
+	return Quiet{Delivered: d.Transport.Step(), Pending: d.Transport.Pending()}
 }
 
-func (d *syncDriver) Drive(ctx context.Context) error { return nil }
-func (d *syncDriver) Close() error                    { return nil }
+func (d syncDriver) Close() error { return nil }
 
-func (d *syncDriver) Pulse() Quiet {
-	q := Quiet{Delivered: d.Transport.Step(), Pending: d.Transport.Pending()}
-	d.publish(q)
-	return q
-}
-
-func (d *syncDriver) Quiesced() <-chan Quiet { return d.quiesced }
-
-func (d *syncDriver) At(fn func()) { fn() }
-
-func (d *syncDriver) Unwrap() Transport { return d.Transport }
-
-// publish posts q latest-wins: an unread older notification is
-// replaced rather than blocking the pulse.
-func (d *syncDriver) publish(q Quiet) {
-	for {
-		select {
-		case d.quiesced <- q:
-			return
-		default:
-			select {
-			case <-d.quiesced:
-			default:
-			}
-		}
-	}
-}
+func (d syncDriver) Unwrap() Transport { return d.Transport }

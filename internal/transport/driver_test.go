@@ -1,7 +1,6 @@
 package transport_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/channet"
@@ -10,17 +9,11 @@ import (
 )
 
 // TestSyncDriverShim exercises the compatibility adapter over simnet:
-// Pulse is Step+Pending, At runs inline at the (ever-present) safe
-// point, Quiesced carries latest-wins notifications, and capability
-// probing reaches the wrapped backend only via Unwrap.
+// Pulse is Step+Pending, Close does nothing, and capability probing
+// reaches the wrapped backend only via Unwrap.
 func TestSyncDriverShim(t *testing.T) {
 	net := simnet.New()
 	d := transport.NewDriver(net)
-
-	if err := d.Drive(context.Background()); err != nil {
-		t.Fatalf("Drive: %v", err)
-	}
-	defer d.Close()
 
 	got := 0
 	d.AddNode(1, func(e transport.Endpoint, m transport.Message) { got++ })
@@ -30,40 +23,20 @@ func TestSyncDriverShim(t *testing.T) {
 	})
 	d.Send(1, 2, "ping", 1)
 
-	q := d.Pulse()
-	if q.Delivered != 1 || q.Pending != 1 {
+	if q := d.Pulse(); q != (transport.Quiet{Delivered: 1, Pending: 1}) {
 		t.Fatalf("first Pulse = %+v, want {Delivered:1 Pending:1}", q)
 	}
-	select {
-	case nq := <-d.Quiesced():
-		if nq != q {
-			t.Fatalf("Quiesced notification %+v != Pulse result %+v", nq, q)
-		}
-	default:
-		t.Fatal("no quiescence notification after Pulse")
+	if q := d.Pulse(); q != (transport.Quiet{Delivered: 1, Pending: 0}) {
+		t.Fatalf("second Pulse = %+v, want {Delivered:1 Pending:0}", q)
 	}
-
-	// Unread notifications are replaced, not queued: after two more
-	// pulses only the latest is readable.
-	q2 := d.Pulse()
-	q3 := d.Pulse()
-	_ = q2
-	select {
-	case nq := <-d.Quiesced():
-		if nq != q3 {
-			t.Fatalf("latest-wins notification %+v, want %+v", nq, q3)
-		}
-	default:
-		t.Fatal("no quiescence notification after later Pulses")
+	if q := d.Pulse(); q != (transport.Quiet{}) {
+		t.Fatalf("Pulse on a drained network = %+v, want zero", q)
 	}
 	if got != 2 {
 		t.Fatalf("handlers ran %d times, want 2", got)
 	}
-
-	ran := false
-	d.At(func() { ran = true })
-	if !ran {
-		t.Fatal("At did not run the closure")
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
 	// The shim must not impersonate backend capabilities: probes reach

@@ -24,8 +24,9 @@
 // An implementation must provide, per directed edge, reliable exactly-
 // once FIFO delivery: two messages sent X→Y are handed to Y's handler
 // in send order. No ordering is promised across different edges.
-// Messages to unregistered (dead) processors are dropped at delivery
-// time and counted by Dropped. Handlers run one-at-a-time per
+// Messages to unregistered (dead) processors are dropped and counted
+// by Dropped at the earliest point the backend knows the target is
+// dead (see Plane.RemoveNode). Handlers run one-at-a-time per
 // processor, and only ever touch their own processor's state, so an
 // implementation is free to run different processors' handlers
 // concurrently.
@@ -42,15 +43,13 @@
 //
 // The driver surface is split in two. The data plane (Plane) is what
 // handlers and lifecycle management see: Send/SendTimer, node
-// add/remove, introspection, bandwidth. The control plane is how
-// delivery is driven, and it comes in two flavors: synchronous
-// backends implement Transport (Plane + Step, the frozen-world pulse
-// contract), while asynchronous backends — where traffic moves on real
-// links and no global freeze exists — implement Driver (Plane + Drive
-// + quiescence notifications + safe-point requests, see driver.go).
-// NewDriver adapts any Transport into a Driver, so the dist driver
-// loop speaks only the async contract and the entire existing
-// simnet/channet test suite runs unmodified behind the shim.
+// add/remove, pending and traffic counts, bandwidth. The control plane
+// is how delivery is driven: synchronous backends implement Transport
+// (Plane + Step, the frozen-world pulse contract), and the dist driver
+// loop speaks Driver (Plane + Pulse + Close, see driver.go). NewDriver
+// adapts any Transport into a Driver, and the wire hub implements
+// Driver natively. Every backend books its traffic through one Traffic
+// (traffic.go), so the counting rules are the same on all of them.
 package transport
 
 import "repro/internal/graph"
@@ -106,10 +105,10 @@ type Message struct {
 // processor's state (plus explicitly synchronized driver structures).
 type Handler func(n Endpoint, msg Message)
 
-// Stats aggregates traffic since the last ResetStats. Congestion
-// counters (QueuedWords, MaxEdgeBacklog, CongestionRounds) are only
-// meaningful on backends with a bandwidth model and stay zero
-// elsewhere.
+// Stats aggregates traffic since the last ResetStats; every backend
+// books it through a Traffic. Congestion counters (QueuedWords,
+// MaxEdgeBacklog, CongestionRounds) are only meaningful on backends
+// with a bandwidth model and stay zero elsewhere.
 type Stats struct {
 	// Messages is the number of network messages delivered.
 	Messages int
@@ -180,9 +179,9 @@ type Endpoint interface {
 // needs except pulse scheduling. It is the part of the contract shared
 // by the synchronous in-process backends (simnet, channet) and the
 // asynchronous wire backend — Endpoint plus processor lifecycle,
-// introspection, and the (optional) bandwidth model. How delivery is
-// *driven* is deliberately absent: synchronous backends add Step
-// (Transport), asynchronous ones add the control plane (Driver).
+// pending and traffic counts, and the (optional) bandwidth model. How
+// delivery is *driven* is deliberately absent: synchronous backends
+// add Step (Transport), the driver loop adds Pulse and Close (Driver).
 type Plane interface {
 	Endpoint
 
@@ -197,15 +196,10 @@ type Plane interface {
 	// discarded without being counted: timers are local wake-ups, not
 	// network traffic. Must only be called between Steps.
 	RemoveNode(id NodeID)
-	// HasNode reports whether a processor is registered.
-	HasNode(id NodeID) bool
 
 	// Pending reports how many messages and timers are waiting for
 	// delivery.
 	Pending() int
-	// PendingWords sums the sizes of all waiting network messages
-	// (timers are free and count 0).
-	PendingWords() int
 	// Dropped returns the number of messages addressed to dead
 	// processors.
 	Dropped() int
@@ -227,8 +221,39 @@ type Plane interface {
 	// SetNodeBandwidth caps every link incident to one node; words <= 0
 	// removes the cap.
 	SetNodeBandwidth(id NodeID, words int)
-	// Bandwidth returns the global per-edge cap (0 = unlimited).
-	Bandwidth() int
+}
+
+// NoBandwidth is the bandwidth surface of a backend without a
+// bandwidth model (channet, the wire hub): EdgeBudget is always 0, so
+// sender-side pacing degenerates to plain sends, and asking for a cap
+// is a configuration error, not something to ignore silently.
+// Congestion experiments are simnet-only (see EXPERIMENTS.md).
+type NoBandwidth struct{}
+
+const noBandwidthModel = "transport: no bandwidth model (congestion experiments are simnet-only)"
+
+// EdgeBudget returns 0: unlimited, always.
+func (NoBandwidth) EdgeBudget(from, to NodeID) int { return 0 }
+
+// SetBandwidth accepts only 0.
+func (NoBandwidth) SetBandwidth(words int) {
+	if words != 0 {
+		panic(noBandwidthModel)
+	}
+}
+
+// SetEdgeBandwidth accepts only non-positive words (cap removal).
+func (NoBandwidth) SetEdgeBandwidth(from, to NodeID, words int) {
+	if words > 0 {
+		panic(noBandwidthModel)
+	}
+}
+
+// SetNodeBandwidth accepts only non-positive words (cap removal).
+func (NoBandwidth) SetNodeBandwidth(id NodeID, words int) {
+	if words > 0 {
+		panic(noBandwidthModel)
+	}
 }
 
 // Transport is a synchronous substrate: a Plane driven in frozen-world

@@ -36,17 +36,19 @@
 // # Driver contract
 //
 // Hub implements transport.Driver natively (Pulse blocks until the
-// fabric quiesces; At runs between pulses where no handler can run)
-// and transport.Transport (Step = Pulse().Delivered), so it slots into
-// both the new async driver loop and every Transport-shaped test
-// harness. Timer semantics mirror channet: per-processor Lamport
-// clocks advanced on delivery, earliest-due timer batch fired only
-// when message-idle.
+// fabric quiesces, and handlers run only inside it, so between pulses
+// the driver may read any state; Close reaps the workers) and
+// transport.Transport (Step = Pulse().Delivered), so it slots into
+// both the dist driver loop and every Transport-shaped test harness.
+// Timer semantics mirror channet: per-processor Lamport clocks
+// advanced on delivery, earliest-due timer batch fired only when
+// message-idle. Traffic is booked through a transport.Traffic, like
+// the in-process backends, and the bandwidth surface is
+// transport.NoBandwidth.
 package wirenet
 
 import (
 	"bufio"
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -85,13 +87,6 @@ type Config struct {
 // edgeKey identifies a directed edge.
 type edgeKey struct{ from, to NodeID }
 
-// outFrame is one routed-but-undelivered message the hub retains for
-// retransmission.
-type outFrame struct {
-	frame []byte // the complete fkRoute body
-	words int
-}
-
 // workerProc is one live worker process.
 type workerProc struct {
 	shard, gen int
@@ -121,6 +116,8 @@ type downEvt struct{ shard, gen int }
 // driver goroutine during Pulse), exactly the discipline the
 // transport contract already imposes.
 type Hub struct {
+	transport.NoBandwidth
+
 	k     int
 	cfg   Config
 	token string
@@ -134,17 +131,17 @@ type Hub struct {
 	round int
 	seq   int
 
-	edgeSeq     map[edgeKey]uint64              // next sequence to assign per edge
-	edgeDone    map[edgeKey]uint64              // highest delivered sequence per edge
-	hold        map[edgeKey]map[uint64]wmsg     // out-of-order arrivals awaiting their turn
-	outstanding map[edgeKey]map[uint64]outFrame // routed, not yet delivered; no empty entries
-	spareOut    []map[uint64]outFrame           // drained inner maps, reused by send
+	edgeSeq  map[edgeKey]uint64          // next sequence to assign per edge
+	edgeDone map[edgeKey]uint64          // highest delivered sequence per edge
+	hold     map[edgeKey]map[uint64]wmsg // out-of-order arrivals awaiting their turn
+	// outstanding holds the complete fkRoute body of every routed,
+	// not yet delivered frame, kept for retransmission; no empty
+	// entries. spareOut recycles drained inner maps for send.
+	outstanding map[edgeKey]map[uint64][]byte
+	spareOut    []map[uint64][]byte
 	inflight    int
 
-	stats                          transport.Stats
-	sentBy                         map[NodeID]int
-	dropped                        int
-	sawElection, sawSync, sawAudit bool
+	traffic transport.Traffic
 
 	gen       int
 	workers   []*workerProc
@@ -153,14 +150,12 @@ type Hub struct {
 	downCh    chan downEvt
 	helloCh   chan helloEvt
 
-	quiesced chan transport.Quiet
 	closed   atomic.Bool
 	closeErr error
 }
 
 // New builds the hub, spawns the worker fleet, and waits until every
-// shard has connected. The returned Hub is ready to Pulse; Drive is
-// only needed to tie shutdown to a context.
+// shard has connected. The returned Hub is ready to Pulse.
 func New(cfg Config) (*Hub, error) {
 	k := cfg.Shards
 	if k == 0 {
@@ -190,14 +185,12 @@ func New(cfg Config) (*Hub, error) {
 		edgeSeq:     make(map[edgeKey]uint64),
 		edgeDone:    make(map[edgeKey]uint64),
 		hold:        make(map[edgeKey]map[uint64]wmsg),
-		outstanding: make(map[edgeKey]map[uint64]outFrame),
-		sentBy:      make(map[NodeID]int),
+		outstanding: make(map[edgeKey]map[uint64][]byte),
 		workers:     make([]*workerProc, k),
 		spawns:      make(map[int]pendingSpawn),
 		deliverCh:   make(chan wmsg, 1<<14),
 		downCh:      make(chan downEvt, 8*k+64),
 		helloCh:     make(chan helloEvt, k),
-		quiesced:    make(chan transport.Quiet, 1),
 	}
 	go h.acceptLoop()
 	for i := 0; i < k; i++ {
@@ -400,7 +393,7 @@ func (h *Hub) retransmit() {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		wp := h.workers[shardOf(e.from, h.k)]
 		for _, s := range seqs {
-			wp.out.send(out[s].frame)
+			wp.out.send(out[s])
 		}
 	}
 }
@@ -431,19 +424,13 @@ func (h *Hub) RemoveNode(id NodeID) {
 			continue
 		}
 		if n := len(out); n > 0 {
-			h.dropped += n
+			h.traffic.Drop(n)
 			h.inflight -= n
 		}
 		delete(h.outstanding, e)
 		delete(h.hold, e)
 	}
 	h.timers.RemoveOwner(id)
-}
-
-// HasNode reports whether a processor is registered.
-func (h *Hub) HasNode(id NodeID) bool {
-	_, ok := h.handlers[id]
-	return ok
 }
 
 // SkewClock perturbs one processor's logical clock by delta (fault
@@ -500,7 +487,7 @@ func (h *Hub) SendClass(from, to NodeID, payload any, words int, class transport
 	}
 	h.seq++
 	if _, ok := h.handlers[to]; !ok {
-		h.dropped++
+		h.traffic.Drop(1)
 		return
 	}
 	pb, err := encodePayload(nil, payload)
@@ -522,11 +509,11 @@ func (h *Hub) SendClass(from, to NodeID, payload any, words int, class transport
 			out = h.spareOut[n-1]
 			h.spareOut = h.spareOut[:n-1]
 		} else {
-			out = make(map[uint64]outFrame)
+			out = make(map[uint64][]byte)
 		}
 		h.outstanding[e] = out
 	}
-	out[m.EdgeSeq] = outFrame{frame: frame, words: words}
+	out[m.EdgeSeq] = frame
 	h.inflight++
 	if wp := h.workers[shardOf(from, h.k)]; wp != nil {
 		wp.out.send(frame)
@@ -545,59 +532,18 @@ func (h *Hub) SendTimer(owner NodeID, payload any, delay int) {
 	h.timers.Arm(owner, h.clocks[owner]+int64(delay), h.seq, payload)
 }
 
-// EdgeBudget is always 0: wirenet has no bandwidth model.
-func (h *Hub) EdgeBudget(from, to NodeID) int { return 0 }
-
-// Bandwidth returns 0: unlimited, always.
-func (h *Hub) Bandwidth() int { return 0 }
-
-// SetBandwidth accepts only 0; congestion modeling is simnet-only.
-func (h *Hub) SetBandwidth(words int) {
-	if words != 0 {
-		panic("wirenet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
-// SetEdgeBandwidth accepts only non-positive words (cap removal).
-func (h *Hub) SetEdgeBandwidth(from, to NodeID, words int) {
-	if words > 0 {
-		panic("wirenet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
-// SetNodeBandwidth accepts only non-positive words (cap removal).
-func (h *Hub) SetNodeBandwidth(id NodeID, words int) {
-	if words > 0 {
-		panic("wirenet: no bandwidth model (congestion experiments are simnet-only)")
-	}
-}
-
 // Pending reports undelivered messages plus armed timers.
 func (h *Hub) Pending() int { return h.inflight + h.timers.Len() }
 
-// PendingWords sums the sizes of all undelivered network messages.
-func (h *Hub) PendingWords() int {
-	words := 0
-	for _, out := range h.outstanding {
-		for _, f := range out {
-			words += f.words
-		}
-	}
-	return words
-}
-
 // Dropped returns the number of network messages addressed to dead
 // processors.
-func (h *Hub) Dropped() int { return h.dropped }
+func (h *Hub) Dropped() int { return h.traffic.Dropped() }
 
 // Stats returns a copy of the traffic statistics.
-func (h *Hub) Stats() transport.Stats { return h.stats }
+func (h *Hub) Stats() transport.Stats { return h.traffic.Stats() }
 
 // ResetStats zeroes the traffic statistics.
-func (h *Hub) ResetStats() {
-	h.stats = transport.Stats{}
-	h.sentBy = make(map[NodeID]int)
-}
+func (h *Hub) ResetStats() { h.traffic.ResetStats() }
 
 // --- driving ---
 
@@ -626,22 +572,8 @@ func (h *Hub) Pulse() transport.Quiet {
 			delivered = fired + h.drain()
 		}
 	}
-	if delivered > 0 {
-		h.stats.Rounds++
-		if h.sawElection {
-			h.stats.ElectionRounds++
-		}
-		if h.sawSync {
-			h.stats.SyncRounds++
-		}
-		if h.sawAudit {
-			h.stats.AuditRounds++
-		}
-	}
-	h.sawElection, h.sawSync, h.sawAudit = false, false, false
-	q := transport.Quiet{Delivered: delivered, Pending: h.Pending()}
-	h.publish(q)
-	return q
+	h.traffic.EndPulse(delivered)
+	return transport.Quiet{Delivered: delivered, Pending: h.Pending()}
 }
 
 // drain runs handler deliveries until no message is in flight,
@@ -717,8 +649,7 @@ func (h *Hub) accept(m wmsg) int {
 // receiver's Lamport clock, decode the payload, book the stats, run.
 // An edge whose last outstanding frame this was leaves the outstanding
 // set (nothing is held for it either: held frames are outstanding), so
-// RemoveNode, PendingWords and Validate scan only edges with traffic
-// in flight; a late duplicate finds no entry and accept sheds it.
+// RemoveNode and Validate scan only edges with traffic in flight; a late duplicate finds no entry and accept sheds it.
 func (h *Hub) deliver(e edgeKey, m wmsg) {
 	out := h.outstanding[e]
 	delete(out, m.EdgeSeq)
@@ -747,7 +678,7 @@ func (h *Hub) deliver(e edgeKey, m wmsg) {
 		From: m.From, To: m.To, Payload: p,
 		Words: m.Words, Class: m.Class, Seq: m.GSeq,
 	}
-	h.book(msg)
+	h.traffic.Deliver(msg)
 	hd(h, msg)
 }
 
@@ -768,54 +699,13 @@ func (h *Hub) fireEarliest() int {
 			h.clocks[m.From] = at
 		}
 		h.clocks[m.From]++
+		h.traffic.Deliver(m)
 		hd(h, m)
 		fired++
 	}
 	clear(batch)
 	h.fired = batch[:0]
 	return fired
-}
-
-// book folds one delivered network message into the stats.
-func (h *Hub) book(m transport.Message) {
-	if m.Timer {
-		return
-	}
-	h.stats.Messages++
-	h.stats.TotalWords += m.Words
-	if m.Words > h.stats.MaxWords {
-		h.stats.MaxWords = m.Words
-	}
-	h.sentBy[m.From]++
-	if h.sentBy[m.From] > h.stats.MaxSentByNode {
-		h.stats.MaxSentByNode = h.sentBy[m.From]
-	}
-	switch m.Class {
-	case transport.ClassElection:
-		h.stats.ElectionMessages++
-		h.sawElection = true
-	case transport.ClassSync:
-		h.stats.SyncMessages++
-		h.sawSync = true
-	case transport.ClassAudit:
-		h.stats.AuditMessages++
-		h.sawAudit = true
-	}
-}
-
-// --- transport.Driver control plane ---
-
-// Drive ties the hub's lifetime to ctx: cancellation closes it. The
-// fabric itself is already running (New spawns the fleet), so this
-// never blocks.
-func (h *Hub) Drive(ctx context.Context) error {
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			h.Close()
-		}()
-	}
-	return nil
 }
 
 // Close shuts the fleet down: a courtesy shutdown frame, then SIGKILL.
@@ -844,28 +734,6 @@ func (h *Hub) Close() error {
 		wp.cmd.Process.Kill()
 	}
 	return nil
-}
-
-// At runs fn at a safe point. Handlers only run inside Pulse on the
-// caller's own goroutine, so between pulses every point is safe and fn
-// runs inline.
-func (h *Hub) At(fn func()) { fn() }
-
-// Quiesced reports each Pulse's quiescent point, latest-wins.
-func (h *Hub) Quiesced() <-chan transport.Quiet { return h.quiesced }
-
-func (h *Hub) publish(q transport.Quiet) {
-	for {
-		select {
-		case h.quiesced <- q:
-			return
-		default:
-			select {
-			case <-h.quiesced:
-			default:
-			}
-		}
-	}
 }
 
 // --- test hooks ---

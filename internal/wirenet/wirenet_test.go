@@ -115,7 +115,7 @@ func TestHubPingPong(t *testing.T) {
 
 // TestHubDrainedEdgesLeaveOutstanding pins the outstanding set's
 // bound: once every frame on an edge is delivered the edge has no
-// entry (RemoveNode, PendingWords and Validate scan the set), and a
+// entry (RemoveNode and Validate scan the set), and a
 // late duplicate of a delivered frame is still shed, not re-delivered.
 func TestHubDrainedEdgesLeaveOutstanding(t *testing.T) {
 	h := newTestHub(t, 2)
@@ -224,6 +224,57 @@ func TestHubTimerOrder(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHubTrafficBooking mirrors transport's TestTrafficBooking: one
+// message of every class from each of two senders in the first pulse,
+// a lone timer in the second, a send to a removed processor dropped
+// before either; a timer is a round but not traffic, a class counts
+// one round per pulse that carried it, and ResetStats keeps Dropped.
+func TestHubTrafficBooking(t *testing.T) {
+	h := newTestHub(t, 2)
+	noop := func(transport.Endpoint, transport.Message) {}
+	for _, id := range []NodeID{1, 2, 3} {
+		h.AddNode(id, noop)
+	}
+	h.RemoveNode(3)
+	h.Send(1, 3, testPing{}, 1)
+	for _, c := range []transport.Class{
+		transport.ClassData, transport.ClassElection, transport.ClassSync, transport.ClassAudit,
+	} {
+		h.SendClass(1, 2, testPing{}, 1+int(c), c)
+		h.SendClass(2, 1, testPing{}, 2+int(c), c)
+	}
+	h.SendTimer(1, "tick", 2)
+	check := func(when string, want transport.Stats) {
+		t.Helper()
+		if got := h.Stats(); got != want {
+			t.Fatalf("%s: Stats = %+v, want %+v", when, got, want)
+		}
+		if got := h.Dropped(); got != 1 {
+			t.Fatalf("%s: Dropped = %d, want 1", when, got)
+		}
+	}
+	if d := h.Pulse().Delivered; d != 8 {
+		t.Fatalf("first pulse delivered %d, want 8", d)
+	}
+	want := transport.Stats{
+		Messages: 8, Rounds: 1, TotalWords: 24, MaxWords: 5, MaxSentByNode: 4,
+		ElectionMessages: 2, SyncMessages: 2, ElectionRounds: 1, SyncRounds: 1,
+		AuditMessages: 2, AuditRounds: 1,
+	}
+	check("after the messages' pulse", want)
+	if d := h.Pulse().Delivered; d != 1 {
+		t.Fatalf("second pulse delivered %d, want the timer", d)
+	}
+	want.Rounds = 2
+	check("after the timer's pulse", want)
+	if d := h.Pulse().Delivered; d != 0 {
+		t.Fatalf("empty pulse delivered %d", d)
+	}
+	check("after an empty pulse", want)
+	h.ResetStats()
+	check("after ResetStats", transport.Stats{})
 }
 
 // TestHubDroppedCounting mirrors the cross-backend conformance test:
