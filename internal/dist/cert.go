@@ -42,9 +42,10 @@ import "fmt"
 // independent checkConnectivity sweep, so a certificate bug can never
 // vouch for itself. The audit layer treats the certificate as
 // driver state it owns: a background sweep (auditCertSweep) re-checks
-// the O(1) count equality plus a small round-robin batch of per-node
-// label consistency each idle tick, and heals any detected corruption
-// by rebuilding both trackers from the graphs.
+// the O(1) count equality each idle tick, and per-node label
+// consistency paced so that each tracker's labels are all re-checked
+// within one audit period of idle ticks, and heals any detected
+// corruption by rebuilding both trackers from the graphs.
 
 // checkCertCounts is the O(1) connectivity-equivalence check: no sticky
 // refinement violation, no tracker damage, and component counts equal.
@@ -95,40 +96,27 @@ func (s *Simulation) checkCertFull() error {
 	return nil
 }
 
-// certSweepBatch is how many processors the audit layer's certificate
-// sweep label-checks per idle tick. Small and constant: the sweep is a
-// background detector, not a checkpoint.
-const certSweepBatch = 8
-
 // auditCertSweep is the audit layer's guard over the certificate —
 // driver-owned state the in-band record audit cannot see. Each idle
-// tick it re-runs the O(1) count check and label-checks a round-robin
-// batch of live processors; any detection heals by rebuilding both
-// trackers from the graphs (the graphs themselves are covered by the
-// record audit), counted like the phantom-footprint sweep's repairs.
+// tick it re-runs the O(1) count check and label-checks the next
+// ceil(slots/Period) slots of each tracker from that tracker's own
+// cursor: the live processors in physCC, the marked (live) nodes in
+// gpCC. Every live processor's labels are so re-checked within one
+// audit period of idle ticks, as often as its own audit tick fires.
+// Any detection heals by rebuilding both trackers from the graphs (the
+// graphs themselves are covered by the record audit), counted like the
+// phantom-footprint sweep's repairs.
 func (s *Simulation) auditCertSweep() {
 	if !s.auditOn || len(s.alive) == 0 {
 		return
 	}
+	period := s.auditCfg.Period
 	bad := s.checkCertCounts() != nil
 	if !bad {
-		n := len(s.sweepSeq)
-		for scanned, checked := 0, 0; scanned < n && checked < certSweepBatch; scanned++ {
-			if s.certCur >= n {
-				s.certCur = 0
-			}
-			id := s.sweepSeq[s.certCur]
-			s.certCur++
-			p, ok := s.procs[id]
-			if !ok {
-				continue
-			}
-			if s.checkCertIncident(p) != nil {
-				bad = true
-				break
-			}
-			checked++
-		}
+		s.physSweep, bad = s.physCC.SweepLabels(s.physSweep, period, false)
+	}
+	if !bad {
+		s.gpSweep, bad = s.gpCC.SweepLabels(s.gpSweep, period, true)
 	}
 	if bad {
 		s.physCC.Relabel()
@@ -160,7 +148,7 @@ func (s *Simulation) appendSample(procs []*processor, sample int) []*processor {
 			}
 		}
 		s.sweepSeq = keep
-		s.sweepCur, s.certCur = 0, 0
+		s.sweepCur = 0
 	}
 	if sample > len(s.alive) {
 		sample = len(s.alive)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/graph"
 )
 
@@ -192,5 +193,96 @@ func TestCertificateRefinementSticky(t *testing.T) {
 	s.certErr = nil
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCertSweepOnePeriod pins the audit layer's detection bound on the
+// certificate: a label forged on any live processor that has a
+// neighbour, in physCC or in gpCC, is caught and healed within one
+// audit period of idle ticks, whichever processor it is and wherever
+// the sweep's cursors stand. The O(1) count check cannot see a forged
+// label (ForgeLabel does no bookkeeping), so only the paced label
+// sweep catches it. One network has more processors than the audit
+// period and one fewer; each first loses two processors and gains one,
+// so the trackers hold vacant and dead slots the sweep must pass over.
+// With nothing forged, the same ticks detect nothing.
+func TestCertSweepOnePeriod(t *testing.T) {
+	cases := []struct {
+		name   string
+		g0     func() *graph.Graph
+		period int
+	}{
+		{"grid-100/period-16", func() *graph.Graph { return graph.Grid(10, 10) }, 16},
+		{"powerlaw-20/period-48", func() *graph.Graph {
+			return graph.PreferentialAttachment(20, 2, rand.New(rand.NewSource(5)))
+		}, 48},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Simulation {
+				s := NewSimulation(tc.g0())
+				if err := s.EnableAudit(audit.Config{Period: tc.period, Batch: 1 << 12}); err != nil {
+					t.Fatal(err)
+				}
+				live := s.LiveNodes()
+				for _, v := range []NodeID{live[1], live[len(live)/2]} {
+					if err := s.Delete(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = s.LiveNodes()
+				if err := s.Insert(1000, []NodeID{live[0], live[len(live)-1]}); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			idleTicks := func(s *Simulation, k int) {
+				for idle := 0; idle < k; {
+					if !s.Tick() {
+						idle++
+					}
+				}
+			}
+			detected := func(s *Simulation, before audit.Stats) (int, int) {
+				after := s.AuditStats()
+				return after.Mismatches - before.Mismatches, after.Repairs - before.Repairs
+			}
+
+			s := build()
+			before := s.AuditStats()
+			idleTicks(s, 3*tc.period)
+			if m, r := detected(s, before); m != 0 || r != 0 {
+				t.Fatalf("nothing forged: %d mismatches, %d repairs", m, r)
+			}
+
+			for _, tracker := range []string{"physical", "G'"} {
+				checked := 0
+				for i, v := range s.LiveNodes() {
+					s := build()
+					cc, g := s.physCC, s.phys
+					if tracker == "G'" {
+						cc, g = s.gpCC, s.gprime
+					}
+					if g.Degree(v) == 0 {
+						continue
+					}
+					idleTicks(s, i%tc.period) // start the sweep anywhere
+					before := s.AuditStats()
+					cc.ForgeLabel(v)
+					idleTicks(s, tc.period)
+					if m, r := detected(s, before); m != 1 || r != 1 {
+						t.Fatalf("%s label forged on %d: %d mismatches, %d repairs after one period of idle ticks, want 1 and 1",
+							tracker, v, m, r)
+					}
+					if err := s.Verify(); err != nil {
+						t.Fatalf("%s label forged on %d: after the heal: %v", tracker, v, err)
+					}
+					checked++
+				}
+				if checked == 0 {
+					t.Fatalf("no live processor with a %s neighbour", tracker)
+				}
+			}
+		})
 	}
 }

@@ -197,20 +197,22 @@ type Simulation struct {
 
 	// Incremental connectivity certificate (see cert.go): component
 	// trackers over the maintained physical graph and over G′ (live
-	// nodes marked), the sticky refinement-violation error, and scratch
-	// for the removal path.
+	// nodes marked), the sticky refinement-violation error, scratch for
+	// the removal path, and the audit sweep's cursor into each
+	// tracker's slots.
 	physCC     *graph.Components
 	gpCC       *graph.Components
 	certErr    error
 	nbrScratch []NodeID
+	physSweep  int
+	gpSweep    int
 
 	// Deterministic sample cursor (see verify_delta.go): live processors
-	// in insertion order (IDs are never reused), the round-robin cursors
-	// of VerifyDelta's opportunistic sweep and the audit layer's
-	// certificate sweep, and the last sample taken (reused buffer).
+	// in insertion order (IDs are never reused), the round-robin cursor
+	// of VerifyDelta's opportunistic sweep, and the last sample taken
+	// (reused buffer).
 	sweepSeq   []NodeID
 	sweepCur   int
-	certCur    int
 	lastSample []NodeID
 
 	// btOrder is layBT's reusable scratch (driver-side only).

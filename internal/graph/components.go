@@ -188,20 +188,63 @@ func (c *Components) Same(u, v NodeID) bool {
 func (c *Components) CrossingNeighbor(u NodeID) (NodeID, bool) {
 	c.Settle()
 	s, ok := c.at(u)
-	if !ok || len(c.g.adj[s]) == 0 {
+	if !ok {
+		return 0, false
+	}
+	if x, ok := c.crossingAt(s); ok {
+		return c.g.ids[x], true
+	}
+	return 0, false
+}
+
+// crossingAt returns the slot of a neighbour of the node in slot s
+// whose label has another root than the node's, if there is one.
+func (c *Components) crossingAt(s int32) (int32, bool) {
+	adj := c.g.adj[s]
+	if len(adj) == 0 {
 		return 0, false
 	}
 	lu := c.label[s]
 	if lu == 0 {
-		return c.g.ids[c.g.adj[s][0].to], true
+		return adj[0].to, true
 	}
 	ru := c.find(lu)
-	for _, h := range c.g.adj[s] {
+	for _, h := range adj {
 		if l := c.label[h.to]; l != lu && (l == 0 || c.find(l) != ru) {
-			return c.g.ids[h.to], true
+			return h.to, true
 		}
 	}
 	return 0, false
+}
+
+// SweepLabels is the round-robin form of CrossingNeighbor: it
+// label-checks the next ceil(slots/period) slots of the graph, from
+// slot from on and wrapping at the end of the slot array, and returns
+// the slot to resume from. Any period consecutive calls therefore
+// check every slot, wherever they start. Only occupied slots are
+// checked, and with marked set only those of marked nodes. It stops at
+// the first node found with a crossing neighbour and reports whether
+// it found one.
+func (c *Components) SweepLabels(from, period int, marked bool) (next int, crossed bool) {
+	c.Settle()
+	c.sync()
+	n := len(c.g.ids)
+	if n == 0 {
+		return 0, false
+	}
+	s := from
+	for k := (n + period - 1) / period; k > 0; k-- {
+		if s >= n {
+			s = 0
+		}
+		if c.g.live[s] && (!marked || c.marked[s]) {
+			if _, bad := c.crossingAt(int32(s)); bad {
+				return s + 1, true
+			}
+		}
+		s++
+	}
+	return s, false
 }
 
 // Damaged reports whether an update observed an impossible state (a

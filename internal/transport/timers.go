@@ -1,34 +1,68 @@
 package transport
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Timers is the armed-timer store every backend keeps its SendTimer
-// wake-ups in: a binary min-heap ordered by (due, owner, seq). That key
-// is total (seq is unique per backend), so the order timers leave the
-// store is fixed by what was armed, never by the heap's layout.
+// wake-ups in. Timers that share a due share a bin; a binary min-heap
+// orders the bins by due, and an index finds a due's bin when a timer
+// is armed. Timers leave the store in (due, owner, seq) order: bins in
+// due order, and within a bin by (owner, seq). That key is total (seq
+// is unique per backend), so the order timers leave the store is fixed
+// by what was armed, never by the store's layout.
+//
+// Cost. Arm is an owner-index lookup, a due-index lookup and an append;
+// only the first timer of a new due pushes a bin onto the heap. Popping
+// a due takes its bin off the heap once and copies its k entries out,
+// sorting them first only if they were not armed in (owner, seq) order.
+// A wave of k timers tied at one due — the audit layer's standing
+// ticks, aligned to the period grid — so costs O(k) plus one heap
+// operation over the distinct dues, instead of k pops from a heap over
+// every timer. An emptied bin keeps its array for the next new due,
+// unless the array is more than about twice what the bin held (see
+// retire). The due index is never deleted from: a popped due's entry is
+// checked against its bin on use, and the index is cleared and rebuilt
+// from the heap once it holds twice as many dues as the heap, which
+// keeps the map's storage. A store at its steady size so allocates
+// nothing.
 //
 // Removal by owner (RemoveOwner, called when a processor dies) is lazy
 // but exact: each owner has a slot holding its armed count and a
 // generation, every entry records its owner's slot and generation, and
 // removing the owner bumps the generation, so the owner's entries turn
 // stale without being searched for. Len drops by the owner's count at
-// once; stale entries are skipped when they reach the top and purged in
-// bulk once they make up half the heap, which keeps storage O(live).
-// Popping a live entry decrements its owner's count through the slot,
-// so only Arm and RemoveOwner consult the owner index.
+// once; stale entries are skipped when their bin is popped and purged
+// in bulk once they make up half the stored entries, which keeps the
+// stored entries O(live). Popping a live entry decrements its owner's
+// count through the slot, so only Arm and RemoveOwner consult the owner
+// index.
 //
 // The zero value is an empty store. It is not safe for concurrent use.
 type Timers struct {
-	h      []timerEntry
+	bins   []timerBin       // every bin ever used; heap and spare index it
+	heap   []int32          // bins holding entries, a min-heap by due
+	byDue  map[int64]int32  // due -> its bin; popped dues linger, see binFor
+	spare  []int32          // emptied bins, reused last-in first-out
 	owners map[NodeID]int32 // owner -> index into slots
 	slots  []ownerSlot
 	free   []int32 // slots released by RemoveOwner, for reuse
 	live   int     // entries armed since their owner was last removed
-	stale  int     // entries of removed owners still in h
+	stale  int     // entries of removed owners still stored
+}
+
+// timerBin holds the entries armed for one due, in arming order.
+type timerBin struct {
+	due     int64
+	at      []timerEntry
+	ordered bool // at is in (owner, seq) order
 }
 
 // timerEntry is one armed timer. A timer message is fully determined
-// by its owner (From and To), seq and payload, so that is all it keeps.
+// by its owner (From and To), seq and payload, so that is all it keeps
+// besides its owner's slot and generation; the due is its bin's.
 type timerEntry struct {
-	due     int64
 	owner   NodeID
 	seq     int
 	payload any
@@ -43,18 +77,11 @@ type ownerSlot struct {
 	armed int32
 }
 
-func (e *timerEntry) message() Message {
-	return Message{From: e.owner, To: e.owner, Payload: e.payload, Timer: true, Seq: e.seq}
-}
-
-func (e *timerEntry) before(o *timerEntry) bool {
-	if e.due != o.due {
-		return e.due < o.due
+func cmpEntry(a, b timerEntry) int {
+	if c := cmp.Compare(a.owner, b.owner); c != 0 {
+		return c
 	}
-	if e.owner != o.owner {
-		return e.owner < o.owner
-	}
-	return e.seq < o.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Len returns the number of armed timers, not counting those of
@@ -75,10 +102,13 @@ func (t *Timers) Arm(owner NodeID, due int64, seq int, payload any) {
 	}
 	t.slots[s].armed++
 	t.live++
-	t.h = append(t.h, timerEntry{
-		due: due, owner: owner, seq: seq, payload: payload, slot: s, gen: t.slots[s].gen,
-	})
-	t.up(len(t.h) - 1)
+	e := timerEntry{owner: owner, seq: seq, payload: payload, slot: s, gen: t.slots[s].gen}
+	i := t.binFor(due) // may grow t.bins: index it only afterwards
+	b := &t.bins[i]
+	if k := len(b.at); k > 0 && cmpEntry(b.at[k-1], e) > 0 {
+		b.ordered = false
+	}
+	b.at = append(b.at, e)
 }
 
 func (t *Timers) newSlot() int32 {
@@ -89,6 +119,37 @@ func (t *Timers) newSlot() int32 {
 	}
 	t.slots = append(t.slots, ownerSlot{})
 	return int32(len(t.slots) - 1)
+}
+
+// binFor returns the bin of due, taking a spare bin (or a new one) and
+// pushing it onto the heap if due has none.
+func (t *Timers) binFor(due int64) int32 {
+	// A bin is on the heap exactly while it holds entries, so a lingering
+	// entry of a popped due fails this check even if its bin was reused.
+	if i, ok := t.byDue[due]; ok && t.bins[i].due == due && len(t.bins[i].at) > 0 {
+		return i
+	}
+	var i int32
+	if n := len(t.spare); n > 0 {
+		i = t.spare[n-1]
+		t.spare = t.spare[:n-1]
+	} else {
+		t.bins = append(t.bins, timerBin{})
+		i = int32(len(t.bins) - 1)
+	}
+	t.bins[i].due, t.bins[i].ordered = due, true
+	if t.byDue == nil {
+		t.byDue = make(map[int64]int32)
+	} else if len(t.byDue) >= 2*len(t.heap)+16 {
+		clear(t.byDue)
+		for _, j := range t.heap {
+			t.byDue[t.bins[j].due] = j
+		}
+	}
+	t.byDue[due] = i
+	t.heap = append(t.heap, i)
+	t.up(len(t.heap) - 1)
+	return i
 }
 
 // RemoveOwner discards every timer owner has armed.
@@ -104,7 +165,7 @@ func (t *Timers) RemoveOwner(owner NodeID) {
 	sl.armed = 0
 	sl.gen++
 	t.free = append(t.free, s)
-	if 2*t.stale > len(t.h) {
+	if t.stale > t.live {
 		t.compact()
 	}
 }
@@ -122,8 +183,8 @@ func (t *Timers) EachOwner(fn func(owner NodeID)) {
 // PopDue removes every armed timer with due <= r and appends its
 // message to dst in (due, owner, seq) order.
 func (t *Timers) PopDue(r int64, dst []Message) []Message {
-	for t.dropStale() && t.h[0].due <= r {
-		dst = append(dst, t.pop())
+	for len(t.heap) > 0 && t.bins[t.heap[0]].due <= r {
+		dst = t.popTop(dst)
 	}
 	return dst
 }
@@ -131,90 +192,120 @@ func (t *Timers) PopDue(r int64, dst []Message) []Message {
 // PopEarliest removes the armed timers tied at the earliest due and
 // appends their messages to dst in (owner, seq) order. It returns dst
 // and that due; with nothing armed it returns dst unchanged and 0.
+// Bins holding only removed owners' timers are discarded on the way.
 func (t *Timers) PopEarliest(dst []Message) ([]Message, int64) {
-	if !t.dropStale() {
-		return dst, 0
-	}
-	due := t.h[0].due
-	for t.dropStale() && t.h[0].due == due {
-		dst = append(dst, t.pop())
-	}
-	return dst, due
-}
-
-// dropStale discards stale entries from the top of the heap and
-// reports whether a live one remains there.
-func (t *Timers) dropStale() bool {
-	for len(t.h) > 0 {
-		if e := &t.h[0]; t.slots[e.slot].gen == e.gen {
-			return true
+	for len(t.heap) > 0 {
+		due, n := t.bins[t.heap[0]].due, len(dst)
+		if dst = t.popTop(dst); len(dst) > n {
+			return dst, due
 		}
-		t.removeTop()
-		t.stale--
 	}
-	return false
+	return dst, 0
 }
 
-// pop removes the live top entry and returns its message.
-func (t *Timers) pop() Message {
-	m := t.h[0].message()
-	t.slots[t.h[0].slot].armed--
-	t.live--
-	t.removeTop()
-	return m
-}
-
-func (t *Timers) removeTop() {
-	last := len(t.h) - 1
-	t.h[0] = t.h[last]
-	t.h[last] = timerEntry{}
-	t.h = t.h[:last]
+// popTop takes the earliest bin off the heap, appends its live entries'
+// messages to dst in (owner, seq) order, and retires the emptied bin.
+func (t *Timers) popTop(dst []Message) []Message {
+	i := t.heap[0]
+	last := len(t.heap) - 1
+	t.heap[0] = t.heap[last]
+	t.heap = t.heap[:last]
 	if last > 0 {
 		t.down(0)
 	}
+	b := &t.bins[i]
+	if !b.ordered {
+		slices.SortFunc(b.at, cmpEntry)
+	}
+	for k := range b.at {
+		e := &b.at[k]
+		sl := &t.slots[e.slot]
+		if sl.gen != e.gen {
+			t.stale--
+			continue
+		}
+		sl.armed--
+		t.live--
+		dst = append(dst, Message{From: e.owner, To: e.owner, Payload: e.payload, Timer: true, Seq: e.seq})
+	}
+	t.retire(i, len(b.at))
+	return dst
 }
 
-// compact drops every stale entry and restores the heap order.
-func (t *Timers) compact() {
-	kept := t.h[:0]
-	for _, e := range t.h {
-		if t.slots[e.slot].gen == e.gen {
-			kept = append(kept, e)
-		}
+// retire makes bin i, whose held entries are all gone, a spare. It
+// keeps the bin's array for the next new due unless the array is more
+// than about twice what the bin held: a due that took a wave's spare
+// for a few timers hands the wave-sized array to the garbage collector
+// when it pops, instead of every bin keeping the largest array it ever
+// had.
+func (t *Timers) retire(i int32, held int) {
+	b := &t.bins[i]
+	if cap(b.at) > 2*held+16 {
+		b.at = nil
+	} else {
+		clear(b.at[:held])
+		b.at = b.at[:0]
 	}
-	clear(t.h[len(kept):])
-	t.h = kept
+	t.spare = append(t.spare, i)
+}
+
+// compact drops every stale entry, retires the bins it empties, and
+// restores the heap order.
+func (t *Timers) compact() {
+	kept := t.heap[:0]
+	for _, i := range t.heap {
+		b := &t.bins[i]
+		held := len(b.at)
+		at := b.at[:0]
+		for _, e := range b.at {
+			if t.slots[e.slot].gen == e.gen {
+				at = append(at, e)
+			}
+		}
+		clear(b.at[len(at):])
+		b.at = at
+		if len(at) > 0 {
+			kept = append(kept, i)
+			continue
+		}
+		t.retire(i, held)
+	}
+	t.heap = kept
 	t.stale = 0
-	for i := len(t.h)/2 - 1; i >= 0; i-- {
+	for i := len(t.heap)/2 - 1; i >= 0; i-- {
 		t.down(i)
 	}
+}
+
+func (t *Timers) less(i, j int) bool {
+	return t.bins[t.heap[i]].due < t.bins[t.heap[j]].due
 }
 
 func (t *Timers) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.h[i].before(&t.h[p]) {
+		if !t.less(i, p) {
 			return
 		}
-		t.h[i], t.h[p] = t.h[p], t.h[i]
+		t.heap[i], t.heap[p] = t.heap[p], t.heap[i]
 		i = p
 	}
 }
 
 func (t *Timers) down(i int) {
-	n := len(t.h)
+	n := len(t.heap)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			return
 		}
-		if r := c + 1; r < n && t.h[r].before(&t.h[c]) {
+		if r := c + 1; r < n && t.less(r, c) {
 			c = r
 		}
-		if !t.h[c].before(&t.h[i]) {
+		if !t.less(c, i) {
 			return
 		}
-		t.h[i], t.h[c] = t.h[c], t.h[i]
+		t.heap[i], t.heap[c] = t.heap[c], t.heap[i]
 		i = c
 	}
 }

@@ -150,8 +150,7 @@ type Hub struct {
 	downCh    chan downEvt
 	helloCh   chan helloEvt
 
-	closed   atomic.Bool
-	closeErr error
+	closed atomic.Bool
 }
 
 // New builds the hub, spawns the worker fleet, and waits until every
@@ -713,7 +712,7 @@ func (h *Hub) fireEarliest() int {
 // during teardown.
 func (h *Hub) Close() error {
 	if h.closed.Swap(true) {
-		return h.closeErr
+		return nil
 	}
 	for _, wp := range h.workers {
 		if wp == nil {

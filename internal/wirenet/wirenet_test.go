@@ -66,7 +66,14 @@ func newTestHub(t *testing.T, shards int) *Hub {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { h.Close() })
+	t.Cleanup(func() {
+		// Close is idempotent: the second call finds the hub closed.
+		for i := 0; i < 2; i++ {
+			if err := h.Close(); err != nil {
+				t.Errorf("Close #%d: %v", i+1, err)
+			}
+		}
+	})
 	return h
 }
 
