@@ -1,6 +1,6 @@
 // Command benchcheck compares `go test -bench` output against a
 // recorded baseline (BENCH_dist.json, BENCH_graph.json,
-// BENCH_transport.json) and fails on regressions. It is
+// BENCH_transport.json, BENCH_wirenet.json) and fails on regressions. It is
 // the CI gate for the perf numbers the repo publishes: wall-time
 // (ns/op) may drift with runner noise, so it gets a loose tolerance;
 // protocol message counts are deterministic under a pinned -benchtime,

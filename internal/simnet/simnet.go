@@ -128,12 +128,6 @@ func (n *Network) RemoveNode(id NodeID) {
 	n.timers.RemoveOwner(id)
 }
 
-// HasNode reports whether a processor is registered.
-func (n *Network) HasNode(id NodeID) bool {
-	_, ok := n.handlers[id]
-	return ok
-}
-
 // Round returns the current round number.
 func (n *Network) Round() int { return n.round }
 
@@ -344,16 +338,6 @@ func (n *Network) RunUntilQuiescent(maxRounds int) (int, error) {
 // Pending reports how many messages and timers are waiting for
 // delivery, messages deferred by the bandwidth limit included.
 func (n *Network) Pending() int { return len(n.queue) + n.timers.Len() }
-
-// PendingWords sums the sizes of all waiting network messages,
-// bandwidth-deferred backlog included (timers are free and count 0).
-func (n *Network) PendingWords() int {
-	words := 0
-	for _, m := range n.queue {
-		words += m.Words
-	}
-	return words
-}
 
 // Dropped returns the number of messages addressed to dead processors.
 func (n *Network) Dropped() int { return n.traffic.Dropped() }

@@ -157,14 +157,3 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
-
-func TestHasNode(t *testing.T) {
-	n := New()
-	if n.HasNode(3) {
-		t.Fatal("empty network has node")
-	}
-	n.AddNode(3, func(transport.Endpoint, transport.Message) {})
-	if !n.HasNode(3) {
-		t.Fatal("node missing after AddNode")
-	}
-}

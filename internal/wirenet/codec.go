@@ -20,9 +20,8 @@ import (
 //
 // Types are registered from init() (see internal/dist's wirecodec.go),
 // before any Hub exists, so the registry is read-only at runtime and
-// needs no locking. Hub and workers share the binary, hence the
-// registry — workers never decode payloads (they route them opaquely),
-// but the symmetry costs nothing.
+// needs no locking. Only the hub encodes and decodes payloads; workers
+// relay frames without reading them.
 
 var (
 	codecByTag  = map[byte]reflect.Type{}
@@ -52,7 +51,7 @@ func RegisterPayload(tag byte, sample any) {
 }
 
 // RegisteredPayloads returns the registered tags in ascending order
-// (for the codec round-trip tests).
+// (for the codec round-trip fuzz).
 func RegisteredPayloads() []byte {
 	tags := make([]byte, 0, len(codecByTag))
 	for tag := range codecByTag {
@@ -145,12 +144,24 @@ func decodePayload(data []byte) (any, error) {
 	return v.Interface(), nil
 }
 
+// decodeValue fills v from d. A value too wide for its field is an
+// error: SetInt and SetUint would silently truncate it.
 func decodeValue(d *decoder, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(d.varint())
+		x := d.varint()
+		if v.OverflowInt(x) {
+			d.err = fmt.Errorf("%d overflows %v", x, v.Type())
+			return
+		}
+		v.SetInt(x)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(d.uvarint())
+		x := d.uvarint()
+		if v.OverflowUint(x) {
+			d.err = fmt.Errorf("%d overflows %v", x, v.Type())
+			return
+		}
+		v.SetUint(x)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			decodeValue(d, v.Field(i))

@@ -11,38 +11,29 @@ import (
 	"repro/internal/transport"
 )
 
-// Wire format. Every connection — hub↔worker and worker↔worker —
-// carries a stream of length-prefixed frames:
+// Wire format. Every connection is one lane between the hub and a
+// worker, and carries a stream of length-prefixed frames:
 //
 //	uvarint bodyLen | body
 //
-// and every body starts with a one-byte frame kind. Message-bearing
-// frames (route/fwd/deliver) share one body layout, so relaying a
-// message is a one-byte rewrite of the kind, not a re-encode.
+// and every body starts with a one-byte frame kind. Route and deliver
+// frames share one body layout, so the worker's relay turns one into
+// the other by rewriting the kind byte, not by re-encoding.
 const (
-	// fkHello is a worker's first frame on its hub connection: its
-	// shard index, the shared secret, and its peer-listener address.
+	// fkHello is a worker's first frame on each lane: its shard index,
+	// the lane's receiver shard, its process ID and the shared secret.
 	fkHello = byte(iota + 1)
-	// fkPeers is the hub's shard directory broadcast: every shard's
-	// peer-listener address. Re-broadcast whenever a worker respawns.
-	fkPeers
-	// fkRoute carries a message hub → shard(From): "inject this into
-	// the fabric".
+	// fkRoute carries a message hub → shard(From) on the lane toward
+	// shard(To): "send this through the fabric".
 	fkRoute
-	// fkFwd carries a message worker → worker along the peer link
-	// shard(From) → shard(To).
-	fkFwd
-	// fkDeliver carries a message shard(To) → hub: "this arrived".
+	// fkDeliver carries it back on the same lane: "this arrived".
 	fkDeliver
-	// fkLinkHello opens a worker↔worker link: the dialer's shard index
-	// plus the shared secret.
-	fkLinkHello
 	// fkShutdown asks a worker to exit cleanly.
 	fkShutdown
 )
 
 // maxFrame bounds one frame body. Protocol payloads are O(1) words, so
-// even the hub's k-entry peer directory sits far below this.
+// real frames sit far below this.
 const maxFrame = 1 << 20
 
 // wmsg is a protocol message in transit: the transport.Message scalars
@@ -56,7 +47,7 @@ type wmsg struct {
 	At       int64  // sender's Lamport stamp at send time
 	Class    transport.Class
 	Words    int
-	Payload  []byte // codec-encoded payload, opaque to workers
+	Payload  []byte // codec-encoded payload, never read by workers
 }
 
 // appendWmsg appends the shared message body (without the kind byte).
@@ -73,7 +64,8 @@ func appendWmsg(buf []byte, m wmsg) []byte {
 	return buf
 }
 
-// parseWmsg decodes the shared message body (after the kind byte).
+// parseWmsg decodes the shared message body (after the kind byte). The
+// payload aliases data.
 func parseWmsg(data []byte) (wmsg, error) {
 	var m wmsg
 	d := decoder{data: data}
@@ -91,7 +83,7 @@ func parseWmsg(data []byte) (wmsg, error) {
 	if d.err != nil {
 		return wmsg{}, d.err
 	}
-	m.Payload = append([]byte(nil), d.data[d.off:d.off+n]...)
+	m.Payload = d.data[d.off : d.off+n : d.off+n]
 	return m, nil
 }
 
@@ -141,31 +133,28 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) bytes() []byte {
-	n := int(d.uvarint())
+func (d *decoder) string() string {
+	n := d.uvarint()
 	if d.err != nil {
-		return nil
+		return ""
 	}
-	if n < 0 || n > len(d.data)-d.off {
+	if n > uint64(len(d.data)-d.off) {
 		d.err = io.ErrUnexpectedEOF
-		return nil
+		return ""
 	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
+	s := string(d.data[d.off : d.off+int(n)])
+	d.off += int(n)
+	return s
 }
 
-func (d *decoder) string() string { return string(d.bytes()) }
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
-func appendString(buf []byte, s string) []byte { return appendBytes(buf, []byte(s)) }
-
-// readFrame reads one length-prefixed frame body.
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame body into buf's storage,
+// or into a new slice when the body does not fit.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -173,19 +162,36 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("wirenet: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
 	return body, nil
 }
 
-// sendq is a per-connection write pump: an unbounded queue drained by
-// one goroutine, so no protocol goroutine ever blocks on a full TCP
-// buffer (the classic two-sided write deadlock). Frames enqueued after
-// close, or left when the connection errors, are silently discarded —
-// reliability is end-to-end (the hub retransmits outstanding frames),
-// not per-link.
+// writeFrame writes one frame body with its length prefix. The prefix
+// is built in w's own buffer, so a write allocates nothing.
+func writeFrame(w *bufio.Writer, body []byte) error {
+	if w.Available() < binary.MaxVarintLen64 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), uint64(len(body)))); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
+}
+
+// sendq is the hub's write pump for one lane: an unbounded queue
+// drained by one goroutine, so the driver never blocks on a full TCP
+// buffer. Frames enqueued after close, or left when the connection
+// errors, are silently discarded — reliability is end-to-end (the hub
+// retransmits outstanding frames), not per-lane.
 type sendq struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -223,7 +229,6 @@ func (s *sendq) close() {
 
 func (s *sendq) pump() {
 	w := bufio.NewWriter(s.conn)
-	var hdr [binary.MaxVarintLen64]byte
 	for {
 		s.mu.Lock()
 		for len(s.q) == 0 && !s.closed {
@@ -234,18 +239,13 @@ func (s *sendq) pump() {
 		closed := s.closed
 		s.mu.Unlock()
 		for _, body := range batch {
-			n := binary.PutUvarint(hdr[:], uint64(len(body)))
-			if _, err := w.Write(hdr[:n]); err != nil {
-				s.fail()
-				return
-			}
-			if _, err := w.Write(body); err != nil {
-				s.fail()
+			if err := writeFrame(w, body); err != nil {
+				s.stop()
 				return
 			}
 		}
 		if err := w.Flush(); err != nil {
-			s.fail()
+			s.stop()
 			return
 		}
 		if closed {
@@ -255,11 +255,12 @@ func (s *sendq) pump() {
 	}
 }
 
-// fail closes the connection and discards everything still queued.
-func (s *sendq) fail() {
+// stop discards everything still queued and closes the connection now.
+func (s *sendq) stop() {
 	s.mu.Lock()
 	s.closed = true
 	s.q = nil
+	s.cond.Signal()
 	s.mu.Unlock()
 	s.conn.Close()
 }

@@ -8,17 +8,19 @@
 // One hub (this process) plus k workers, each a shard of the message
 // fabric spawned by re-executing the hub's own binary (MaybeWorker
 // must therefore be the first call of any main/TestMain that builds a
-// Hub). A message from processor u to processor v travels
+// Hub). Worker a holds k lanes to the hub, one TCP connection per
+// receiver shard c. A message from processor u to processor v travels
 //
-//	hub → worker shard(u) → worker shard(v) → hub
+//	hub → worker shard(u) → hub
 //
-// over length-prefixed TCP frames: the hub injects at the sender's
-// shard, workers forward over the per-pair peer link, and the
-// receiving shard hands the message back to the hub, which runs the
-// handler. Workers are stateless routers; the real-network transit is
-// the point — arrival order at the hub is decided by TCP scheduling
-// across 2–3 hops, making wirenet a genuine adversarial scheduler in
-// the way channet's goroutine races are, but across OS processes.
+// as length-prefixed frames on lane (shard(u), shard(v)): the worker's
+// relay rewrites the frame's kind byte and writes it straight back,
+// and the hub runs the handler. Workers are stateless relays; the
+// real-network transit is the point. Each lane is FIFO, but the k²
+// lanes merge at the hub in whatever order TCP and the scheduler
+// decide, so one sender shard's messages to two receiver shards can
+// overtake each other, making wirenet a genuine adversarial scheduler
+// in the way channet's goroutine races are, but across OS processes.
 //
 // # Ordering and reliability
 //
@@ -28,10 +30,10 @@
 // end-to-end no matter what the fabric does. Reliability is likewise
 // end-to-end: the hub keeps every routed frame until its delivery
 // returns, and when a worker dies (crash or kill -9) it respawns the
-// shard, re-announces the peer directory, and retransmits everything
-// outstanding — duplicates from frames that survived in flight are
-// shed by the sequence check. Losing a worker therefore loses no
-// protocol state and no messages.
+// shard, waits for all k of the new process's lanes, and retransmits
+// everything outstanding, each edge on its own lane — duplicates from
+// frames that survived in flight are shed by the sequence check.
+// Losing a worker therefore loses no protocol state and no messages.
 //
 // # Driver contract
 //
@@ -50,7 +52,6 @@ package wirenet
 import (
 	"bufio"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"net"
@@ -91,21 +92,21 @@ type edgeKey struct{ from, to NodeID }
 type workerProc struct {
 	shard, gen int
 	cmd        *exec.Cmd
-	conn       net.Conn
-	out        *sendq
-	addr       string // the worker's peer-listener address
+	lanes      []*sendq // lanes[c] carries messages to processors of shard c
 }
 
+// pendingSpawn is a worker process whose lanes are still saying hello.
 type pendingSpawn struct {
-	cmd *exec.Cmd
-	gen int
+	cmd    *exec.Cmd
+	gen    int
+	lanes  []helloEvt // by receiver shard; conn is nil until that lane's hello
+	joined int
 }
 
 type helloEvt struct {
-	shard int
-	addr  string
-	conn  net.Conn
-	r     *bufio.Reader // carries bytes buffered past the hello
+	shard, lane, pid int
+	conn             net.Conn
+	r                *bufio.Reader // carries bytes buffered past the hello
 }
 
 type downEvt struct{ shard, gen int }
@@ -145,7 +146,7 @@ type Hub struct {
 
 	gen       int
 	workers   []*workerProc
-	spawns    map[int]pendingSpawn
+	spawns    map[int]*pendingSpawn
 	deliverCh chan wmsg
 	downCh    chan downEvt
 	helloCh   chan helloEvt
@@ -186,10 +187,12 @@ func New(cfg Config) (*Hub, error) {
 		hold:        make(map[edgeKey]map[uint64]wmsg),
 		outstanding: make(map[edgeKey]map[uint64][]byte),
 		workers:     make([]*workerProc, k),
-		spawns:      make(map[int]pendingSpawn),
+		spawns:      make(map[int]*pendingSpawn),
 		deliverCh:   make(chan wmsg, 1<<14),
-		downCh:      make(chan downEvt, 8*k+64),
-		helloCh:     make(chan helloEvt, k),
+		// A death is reported by each of its k lane readers and by
+		// the reaper; stale reports are dropped at respawn.
+		downCh:  make(chan downEvt, 2*k*(k+1)+64),
+		helloCh: make(chan helloEvt, k*k),
 	}
 	go h.acceptLoop()
 	for i := 0; i < k; i++ {
@@ -204,7 +207,6 @@ func New(cfg Config) (*Hub, error) {
 			return nil, err
 		}
 	}
-	h.broadcastPeers()
 	return h, nil
 }
 
@@ -227,7 +229,7 @@ func (h *Hub) spawn(shard int) error {
 	}
 	h.gen++
 	gen := h.gen
-	h.spawns[shard] = pendingSpawn{cmd: cmd, gen: gen}
+	h.spawns[shard] = &pendingSpawn{cmd: cmd, gen: gen, lanes: make([]helloEvt, h.k)}
 	go func() {
 		cmd.Wait()
 		h.notifyDown(downEvt{shard: shard, gen: gen})
@@ -252,20 +254,27 @@ func (h *Hub) waitForWorker(shard int) error {
 	}
 }
 
-// install registers a connected worker and starts its reader.
+// install admits one lane of a pending spawn, and installs the shard
+// once all k of its lanes have said hello. A lane whose hello names
+// another process (a late dial from a killed generation) or repeats a
+// lane is refused.
 func (h *Hub) install(evt helloEvt) {
 	ps, ok := h.spawns[evt.shard]
-	if !ok {
+	if !ok || evt.pid != ps.cmd.Process.Pid || ps.lanes[evt.lane].conn != nil {
 		evt.conn.Close()
 		return
 	}
+	ps.lanes[evt.lane] = evt
+	if ps.joined++; ps.joined < h.k {
+		return
+	}
 	delete(h.spawns, evt.shard)
-	wp := &workerProc{
-		shard: evt.shard, gen: ps.gen, cmd: ps.cmd,
-		conn: evt.conn, out: newSendq(evt.conn), addr: evt.addr,
+	wp := &workerProc{shard: evt.shard, gen: ps.gen, cmd: ps.cmd, lanes: make([]*sendq, h.k)}
+	for c, l := range ps.lanes {
+		wp.lanes[c] = newSendq(l.conn)
+		go h.readLane(wp, l.r)
 	}
 	h.workers[evt.shard] = wp
-	go h.readWorker(wp, evt.r)
 }
 
 // acceptLoop admits worker connections and forwards their hellos.
@@ -278,30 +287,31 @@ func (h *Hub) acceptLoop() {
 		go func(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 			r := bufio.NewReader(conn)
-			body, err := readFrame(r)
+			body, err := readFrame(r, nil)
 			conn.SetReadDeadline(time.Time{})
 			if err != nil || body[0] != fkHello {
 				conn.Close()
 				return
 			}
 			d := decoder{data: body[1:]}
-			shard := int(d.uvarint())
+			shard, lane, pid := d.uvarint(), d.uvarint(), d.uvarint()
 			token := d.string()
-			addr := d.string()
-			if d.err != nil || token != h.token || shard < 0 || shard >= h.k {
+			if d.err != nil || token != h.token || shard >= uint64(h.k) || lane >= uint64(h.k) {
 				conn.Close()
 				return
 			}
-			h.helloCh <- helloEvt{shard: shard, addr: addr, conn: conn, r: r}
+			h.helloCh <- helloEvt{shard: int(shard), lane: int(lane), pid: int(pid), conn: conn, r: r}
 		}(conn)
 	}
 }
 
-// readWorker relays delivered frames into the executor's channel
-// until the connection dies.
-func (h *Hub) readWorker(wp *workerProc, r *bufio.Reader) {
+// readLane passes one lane's delivered frames to the executor's
+// channel until the connection dies. It waits on nothing but that
+// channel, which every Pulse drains, so a relay blocked writing to
+// this lane always makes progress.
+func (h *Hub) readLane(wp *workerProc, r *bufio.Reader) {
 	for {
-		body, err := readFrame(r)
+		body, err := readFrame(r, nil)
 		if err != nil {
 			h.notifyDown(downEvt{shard: wp.shard, gen: wp.gen})
 			return
@@ -324,24 +334,8 @@ func (h *Hub) notifyDown(evt downEvt) {
 	}
 }
 
-// broadcastPeers sends the current shard directory to every worker.
-func (h *Hub) broadcastPeers() {
-	body := []byte{fkPeers}
-	body = binary.AppendUvarint(body, uint64(h.k))
-	for _, wp := range h.workers {
-		if wp == nil {
-			return
-		}
-		body = binary.AppendUvarint(body, uint64(wp.shard))
-		body = appendString(body, wp.addr)
-	}
-	for _, wp := range h.workers {
-		wp.out.send(body)
-	}
-}
-
 // respawn replaces a dead worker and retransmits everything
-// outstanding. Stale notifications (the reader and the reaper both
+// outstanding. Stale notifications (each lane reader and the reaper
 // report one death; retransmitted-over generations linger) are
 // filtered by generation.
 func (h *Hub) respawn(evt downEvt) {
@@ -352,8 +346,9 @@ func (h *Hub) respawn(evt downEvt) {
 	if wp == nil || wp.gen != evt.gen {
 		return
 	}
-	wp.out.close()
-	wp.conn.Close()
+	for _, l := range wp.lanes {
+		l.stop()
+	}
 	wp.cmd.Process.Kill()
 	h.workers[evt.shard] = nil
 	if err := h.spawn(evt.shard); err != nil {
@@ -362,14 +357,14 @@ func (h *Hub) respawn(evt downEvt) {
 	if err := h.waitForWorker(evt.shard); err != nil {
 		panic(fmt.Sprintf("wirenet: respawn shard %d: %v", evt.shard, err))
 	}
-	h.broadcastPeers()
 	h.retransmit()
 }
 
 // retransmit re-injects every outstanding frame, per edge in sequence
-// order. Frames that survived in flight arrive twice and are shed by
-// the hub's per-edge sequence check; frames lost with the dead worker
-// arrive once. Either way every edge stays exactly-once FIFO.
+// order on the edge's own lane. Frames that survived in flight arrive
+// twice and are shed by the hub's per-edge sequence check; frames lost
+// with the dead worker arrive once. Either way every edge stays
+// exactly-once FIFO.
 func (h *Hub) retransmit() {
 	edges := make([]edgeKey, 0, len(h.outstanding))
 	for e, out := range h.outstanding {
@@ -390,9 +385,9 @@ func (h *Hub) retransmit() {
 			seqs = append(seqs, s)
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		wp := h.workers[shardOf(e.from, h.k)]
+		l := h.lane(e)
 		for _, s := range seqs {
-			wp.out.send(out[s])
+			l.send(out[s])
 		}
 	}
 }
@@ -514,11 +509,31 @@ func (h *Hub) SendClass(from, to NodeID, payload any, words int, class transport
 	}
 	out[m.EdgeSeq] = frame
 	h.inflight++
-	if wp := h.workers[shardOf(from, h.k)]; wp != nil {
-		wp.out.send(frame)
+	if l := h.lane(e); l != nil {
+		l.send(frame)
 	}
-	// A nil worker slot (mid-respawn) is fine: the frame is
-	// outstanding and goes out with the retransmit.
+	// A nil lane (mid-respawn) is fine: the frame is outstanding and
+	// goes out with the retransmit.
+}
+
+// shardOf maps a processor to its shard.
+func shardOf(id NodeID, k int) int {
+	s := int(int64(id) % int64(k))
+	if s < 0 {
+		s += k
+	}
+	return s
+}
+
+// lane returns the queue that carries edge e's frames, every one of
+// them, retransmits included: the lane of shard(from) toward
+// shard(to). It is nil while shard(from) respawns.
+func (h *Hub) lane(e edgeKey) *sendq {
+	wp := h.workers[shardOf(e.from, h.k)]
+	if wp == nil {
+		return nil
+	}
+	return wp.lanes[shardOf(e.to, h.k)]
 }
 
 // SendTimer arms a local wake-up after delay ticks of the owner's
@@ -718,11 +733,18 @@ func (h *Hub) Close() error {
 		if wp == nil {
 			continue
 		}
-		wp.out.send([]byte{fkShutdown})
-		wp.out.close()
+		for _, l := range wp.lanes {
+			l.send([]byte{fkShutdown})
+			l.close()
+		}
 	}
 	for _, ps := range h.spawns {
 		ps.cmd.Process.Kill()
+		for _, l := range ps.lanes {
+			if l.conn != nil {
+				l.conn.Close()
+			}
+		}
 	}
 	h.ln.Close()
 	for _, wp := range h.workers {

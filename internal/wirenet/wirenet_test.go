@@ -1,6 +1,10 @@
 package wirenet
 
 import (
+	"bufio"
+	"bytes"
+	"math/rand"
+	"net"
 	"os"
 	"reflect"
 	"testing"
@@ -31,9 +35,22 @@ type testNested struct {
 	}
 }
 
+// testWide and testNarrow share a field shape at different widths.
+type testWide struct {
+	S int64
+	U uint64
+}
+
+type testNarrow struct {
+	S int8
+	U uint8
+}
+
 func init() {
 	RegisterPayload(200, testPing{})
 	RegisterPayload(201, testNested{})
+	RegisterPayload(202, testWide{})
+	RegisterPayload(203, testNarrow{})
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -60,6 +77,38 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsOverflow decodes values too wide for their fields:
+// each must fail, not truncate (300 in a uint8 once decoded as 44).
+// testWide and testNarrow have the same field shape, so a testWide
+// encoding relabelled with testNarrow's tag decodes field for field.
+func TestCodecRejectsOverflow(t *testing.T) {
+	asNarrow := func(in testWide) (any, error) {
+		buf, err := encodePayload(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 203
+		return decodePayload(buf)
+	}
+	for _, in := range []testWide{
+		{U: 300}, {U: 1 << 8}, {U: 1<<64 - 1},
+		{S: 128}, {S: -129}, {S: 1 << 40}, {S: -1 << 63},
+	} {
+		if out, err := asNarrow(in); err == nil {
+			t.Errorf("%+v decoded as %+v, want an overflow error", in, out)
+		}
+	}
+	for _, in := range []testWide{{U: 255, S: 127}, {U: 0, S: -128}} {
+		out, err := asNarrow(in)
+		if err != nil {
+			t.Fatalf("in-range %+v: %v", in, err)
+		}
+		if got := out.(testNarrow); int64(got.S) != in.S || uint64(got.U) != in.U {
+			t.Fatalf("in-range %+v decoded as %+v", in, got)
+		}
+	}
+}
+
 func newTestHub(t *testing.T, shards int) *Hub {
 	t.Helper()
 	h, err := New(Config{Shards: shards, DrainTimeout: 30 * time.Second})
@@ -78,8 +127,8 @@ func newTestHub(t *testing.T, shards int) *Hub {
 }
 
 // TestHubPingPong runs a two-node cross-shard exchange: every message
-// crosses hub → worker → worker → hub, and the pulse must drain the
-// full cascade.
+// crosses hub → worker shard(From) → hub on the lane toward
+// shard(To), and the pulse must drain the full cascade.
 func TestHubPingPong(t *testing.T) {
 	h := newTestHub(t, 2)
 	var log []int64
@@ -359,5 +408,149 @@ func TestHubKillWorker(t *testing.T) {
 	}
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkerRelay drives one lane's relay over an in-memory pipe. Route
+// frames of every size from one byte to maxFrame come back in order as
+// deliver frames, byte-identical after the kind byte; frames of any
+// other kind are dropped; a shutdown frame, and EOF, end the loop.
+func TestWorkerRelay(t *testing.T) {
+	sizes := []int{1, 2, 127, 128, 4095, 4096, 4097, 1 << 16, maxFrame - 1, maxFrame}
+	rng := rand.New(rand.NewSource(1))
+	var routes [][]byte
+	for _, n := range sizes {
+		body := make([]byte, n)
+		rng.Read(body)
+		body[0] = fkRoute
+		routes = append(routes, body)
+	}
+	// A frame the relay must drop before each route: every other kind
+	// the hub uses, and kinds it never sends.
+	others := [][]byte{{fkHello, 1, 2}, {fkDeliver, 7}, {0xee}, {0}}
+	run := func(t *testing.T, end func(hub net.Conn)) {
+		hub, worker := net.Pipe()
+		defer hub.Close()
+		done := make(chan struct{})
+		go func() {
+			relay(worker)
+			worker.Close()
+			close(done)
+		}()
+		readAll := make(chan struct{})
+		go func() {
+			w := bufio.NewWriter(hub)
+			for i, body := range routes {
+				writeFrame(w, others[i%len(others)])
+				writeFrame(w, body)
+				w.Flush()
+			}
+			<-readAll
+			end(hub)
+		}()
+		r := bufio.NewReader(hub)
+		for i, sent := range routes {
+			got, err := readFrame(r, nil)
+			if err != nil {
+				t.Fatalf("frame %d (%d bytes): %v", i, len(sent), err)
+			}
+			if got[0] != fkDeliver || !bytes.Equal(got[1:], sent[1:]) {
+				t.Fatalf("frame %d (%d bytes) came back as kind %d with %d bytes",
+					i, len(sent), got[0], len(got))
+			}
+		}
+		close(readAll)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("relay did not end")
+		}
+	}
+	t.Run("shutdown", func(t *testing.T) {
+		run(t, func(hub net.Conn) {
+			w := bufio.NewWriter(hub)
+			writeFrame(w, []byte{fkShutdown})
+			w.Flush()
+		})
+	})
+	t.Run("eof", func(t *testing.T) {
+		run(t, func(hub net.Conn) { hub.Close() })
+	})
+}
+
+// TestHubKillWorkerAllLanes keeps all 9 lanes of 3 shards busy, with
+// senders and receivers on every shard, and SIGKILLs one worker from
+// inside the first delivery, so the burst is mid-flight on every lane.
+// Every edge must still deliver exactly once, in FIFO order, and the
+// respawned shard's lanes must carry the next burst.
+func TestHubKillWorkerAllLanes(t *testing.T) {
+	const shards, nodes, k = 3, 6, 40
+	h := newTestHub(t, shards)
+	got := make(map[edgeKey][]int64)
+	killed := false
+	for v := NodeID(1); v <= nodes; v++ {
+		h.AddNode(v, func(e transport.Endpoint, m transport.Message) {
+			key := edgeKey{from: m.From, to: m.To}
+			got[key] = append(got[key], m.Payload.(testPing).N)
+			if !killed {
+				killed = true
+				if err := h.KillWorker(1); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	lanes := make(map[[2]int]bool)
+	burst := func(from, to int64) {
+		for u := NodeID(1); u <= nodes; u++ {
+			for v := NodeID(1); v <= nodes; v++ {
+				if u == v {
+					continue
+				}
+				lanes[[2]int{shardOf(u, shards), shardOf(v, shards)}] = true
+				for i := from; i <= to; i++ {
+					h.Send(u, v, testPing{N: i}, 1)
+				}
+			}
+		}
+	}
+	check := func(want int64) {
+		t.Helper()
+		if len(got) != nodes*(nodes-1) {
+			t.Fatalf("%d edges delivered, want %d", len(got), nodes*(nodes-1))
+		}
+		for e, ns := range got {
+			if int64(len(ns)) != want {
+				t.Fatalf("edge %v delivered %d messages, want %d", e, len(ns), want)
+			}
+			for i, n := range ns {
+				if n != int64(i+1) {
+					t.Fatalf("edge %v: message %d has N=%d: not exactly-once FIFO", e, i, n)
+				}
+			}
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := h.workers[1].gen
+	burst(1, k)
+	if len(lanes) != shards*shards {
+		t.Fatalf("the burst uses %d lanes, want %d", len(lanes), shards*shards)
+	}
+	if d, want := h.Pulse().Delivered, nodes*(nodes-1)*k; d != want {
+		t.Fatalf("Pulse delivered %d, want %d", d, want)
+	}
+	if !killed {
+		t.Fatal("no worker was killed")
+	}
+	check(k)
+	burst(k+1, 2*k)
+	if d, want := h.Pulse().Delivered, nodes*(nodes-1)*k; d != want {
+		t.Fatalf("second Pulse delivered %d, want %d", d, want)
+	}
+	check(2 * k)
+	if h.workers[1].gen == gen {
+		t.Fatal("the killed shard was never respawned")
 	}
 }

@@ -4,28 +4,24 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
-	"sync"
-	"time"
-
-	"repro/internal/transport"
 )
 
 // A worker is one shard of the message fabric, running in its own OS
 // process (the hub re-execs its own binary with the env vars below).
-// Workers are deliberately stateless store-and-forward routers: the
-// hub injects a message at shard(From) (fkRoute), the worker forwards
-// it over the shard(From)→shard(To) peer link (fkFwd), and shard(To)
-// hands it back to the hub (fkDeliver) — so every message crosses real
-// TCP links and its arrival order at the hub is genuinely
-// nondeterministic (the adversarial scheduler the protocol must
-// tolerate), while all protocol state stays hub-side where the
+// Shard a holds k lanes to the hub, one per receiver shard c: the hub
+// routes a message u→v on lane (shard(u), shard(v)), and the lane's
+// relay sends it straight back as a delivery. The worker keeps no
+// state and parses nothing but frame lengths and kinds, so every
+// message crosses real TCP twice and its arrival order at the hub is
+// genuinely nondeterministic (the adversarial scheduler the protocol
+// must tolerate), while all protocol state stays hub-side where the
 // driver can reach it. Losing a worker loses only in-transit frames,
-// which the hub retransmits end-to-end (see hub.go); a worker holds
-// nothing that needs recovery, which is what makes kill -9 a safe
-// fault to inject.
+// which the hub retransmits end-to-end (see hub.go), which is what
+// makes kill -9 a safe fault to inject.
 
 // Environment contract between hub and worker process.
 const (
@@ -60,254 +56,67 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// shardOf maps a processor to its shard.
-func shardOf(id transport.NodeID, k int) int {
-	s := int(int64(id) % int64(k))
-	if s < 0 {
-		s += k
+// workerMain dials the shard's k lanes and relays until one of them
+// ends: the hub closes every lane when it shuts the worker down, and
+// EOF on any lane means the hub is gone or has given up on this
+// process.
+func workerMain(shard, k int, hubAddr, token string) {
+	done := make(chan struct{}, k)
+	for c := 0; c < k; c++ {
+		conn, err := net.Dial("tcp", hubAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wirenet worker %d: dial hub %s: %v\n", shard, hubAddr, err)
+			os.Exit(1)
+		}
+		hello := []byte{fkHello}
+		hello = binary.AppendUvarint(hello, uint64(shard))
+		hello = binary.AppendUvarint(hello, uint64(c))
+		hello = binary.AppendUvarint(hello, uint64(os.Getpid()))
+		hello = appendString(hello, token)
+		w := bufio.NewWriter(conn)
+		if writeFrame(w, hello) != nil || w.Flush() != nil {
+			fmt.Fprintf(os.Stderr, "wirenet worker %d: hello on lane %d failed\n", shard, c)
+			os.Exit(1)
+		}
+		go func() {
+			relay(conn)
+			done <- struct{}{}
+		}()
 	}
-	return s
+	<-done
 }
 
-// worker is the per-process router state.
-type worker struct {
-	id, k int
-	token string
-	hub   *sendq
-
-	mu      sync.Mutex
-	links   map[int]*sendq   // live peer links by shard
-	addrs   map[int]string   // last known peer-listener addresses
-	pending map[int][][]byte // frames awaiting a link to come up
-}
-
-func workerMain(id, k int, hubAddr, token string) {
-	// Peer listener first, so the hello can carry its address.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirenet worker %d: listen: %v\n", id, err)
-		os.Exit(1)
-	}
-	conn, err := net.Dial("tcp", hubAddr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirenet worker %d: dial hub %s: %v\n", id, hubAddr, err)
-		os.Exit(1)
-	}
-	w := &worker{
-		id: id, k: k, token: token,
-		hub:     newSendq(conn),
-		links:   make(map[int]*sendq),
-		addrs:   make(map[int]string),
-		pending: make(map[int][][]byte),
-	}
-
-	hello := []byte{fkHello}
-	hello = binary.AppendUvarint(hello, uint64(id))
-	hello = appendString(hello, token)
-	hello = appendString(hello, ln.Addr().String())
-	w.hub.send(hello)
-
-	go w.acceptPeers(ln)
-
-	// The hub connection is the worker's lifeline: EOF or a shutdown
-	// frame ends the process (the hub died, or is closing down).
+// relay runs one lane until a shutdown frame, EOF or a malformed
+// length: every route frame goes back on the same connection as a
+// deliver frame, byte-identical after the kind byte, and every other
+// kind is dropped. It reuses one body buffer and writes from the
+// reading goroutine, flushing only when no further input is buffered,
+// so a burst goes back in as few writes as it came in. A write blocks
+// only on the hub's reader of this lane, which never waits on anything
+// but the driver's pulse, so the relay cannot join a wait cycle, and
+// TCP backpressure bounds what it holds.
+func relay(conn io.ReadWriter) {
 	r := bufio.NewReader(conn)
+	w := bufio.NewWriter(conn)
+	defer w.Flush()
+	var body []byte
 	for {
-		body, err := readFrame(r)
+		var err error
+		body, err = readFrame(r, body)
 		if err != nil {
 			return
 		}
 		switch body[0] {
-		case fkPeers:
-			w.updatePeers(body[1:])
 		case fkRoute:
-			w.route(body)
+			body[0] = fkDeliver
+			if writeFrame(w, body) != nil {
+				return
+			}
 		case fkShutdown:
 			return
 		}
-	}
-}
-
-// route forwards one hub-injected frame toward shard(To).
-func (w *worker) route(body []byte) {
-	m, err := parseWmsg(body[1:])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirenet worker %d: bad route frame: %v\n", w.id, err)
-		return
-	}
-	dst := shardOf(m.To, w.k)
-	if dst == w.id {
-		// Same-shard edge: straight back to the hub.
-		body[0] = fkDeliver
-		w.hub.send(body)
-		return
-	}
-	body[0] = fkFwd
-	w.forward(dst, body)
-}
-
-// forward enqueues a frame on the link to dst, or buffers it until the
-// link comes up. Frames buffered toward a peer that never comes up are
-// lost with this process — the hub's end-to-end retransmit owns that
-// failure mode.
-func (w *worker) forward(dst int, body []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if l := w.links[dst]; l != nil {
-		l.send(body)
-		return
-	}
-	w.pending[dst] = append(w.pending[dst], body)
-}
-
-// updatePeers processes the hub's shard directory: drop links whose
-// peer re-registered at a new address, and dial every higher shard we
-// are missing (lower dials higher, so each unordered pair gets exactly
-// one link; both directions multiplex over it).
-func (w *worker) updatePeers(body []byte) {
-	d := decoder{data: body}
-	n := int(d.uvarint())
-	type peer struct {
-		shard int
-		addr  string
-	}
-	peers := make([]peer, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		s := int(d.uvarint())
-		a := d.string()
-		peers = append(peers, peer{shard: s, addr: a})
-	}
-	if d.err != nil {
-		fmt.Fprintf(os.Stderr, "wirenet worker %d: bad peers frame: %v\n", w.id, d.err)
-		return
-	}
-	for _, p := range peers {
-		// Only links we dial (higher shards) react to the directory. An
-		// address change means the peer respawned, so any existing link
-		// is stale: drop it and redial. Links dialed BY lower shards are
-		// left alone — their liveness is governed by the connection
-		// itself (a dead peer's conn EOFs and the respawn redials us),
-		// and a directory update can race ahead of or behind the
-		// accepted link, so touching it here would tear down a healthy
-		// connection that no one would ever rebuild.
-		if p.shard <= w.id {
-			continue
-		}
-		w.mu.Lock()
-		changed := w.addrs[p.shard] != "" && w.addrs[p.shard] != p.addr
-		w.addrs[p.shard] = p.addr
-		if changed {
-			if l := w.links[p.shard]; l != nil {
-				l.close()
-				delete(w.links, p.shard)
-			}
-		}
-		missing := w.links[p.shard] == nil
-		w.mu.Unlock()
-		if changed || missing {
-			go w.dialPeer(p.shard, p.addr)
-		}
-	}
-}
-
-// dialPeer opens the link to a higher shard and drains anything
-// buffered for it. A few retries cover the window where the peer's
-// listener exists but its accept loop lags.
-func (w *worker) dialPeer(shard int, addr string) {
-	var conn net.Conn
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wirenet worker %d: dial peer %d at %s: %v\n", w.id, shard, addr, err)
-		return
-	}
-	hello := []byte{fkLinkHello}
-	hello = binary.AppendUvarint(hello, uint64(w.id))
-	hello = appendString(hello, w.token)
-	q := newSendq(conn)
-	q.send(hello)
-	w.installLink(shard, q)
-	go w.readPeer(shard, conn)
-}
-
-// acceptPeers admits links dialed by lower shards.
-func (w *worker) acceptPeers(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
+		if r.Buffered() == 0 && w.Flush() != nil {
 			return
 		}
-		go func(conn net.Conn) {
-			r := bufio.NewReader(conn)
-			body, err := readFrame(r)
-			if err != nil || body[0] != fkLinkHello {
-				conn.Close()
-				return
-			}
-			d := decoder{data: body[1:]}
-			shard := int(d.uvarint())
-			token := d.string()
-			if d.err != nil || token != w.token || shard < 0 || shard >= w.k {
-				conn.Close()
-				return
-			}
-			w.installLink(shard, newSendq(conn))
-			w.readPeerFrom(shard, r, conn)
-		}(conn)
-	}
-}
-
-// installLink replaces any existing link to shard and flushes frames
-// buffered while it was down.
-func (w *worker) installLink(shard int, q *sendq) {
-	w.mu.Lock()
-	if old := w.links[shard]; old != nil {
-		old.close()
-	}
-	w.links[shard] = q
-	buffered := w.pending[shard]
-	delete(w.pending, shard)
-	w.mu.Unlock()
-	for _, body := range buffered {
-		q.send(body)
-	}
-}
-
-func (w *worker) readPeer(shard int, conn net.Conn) {
-	w.readPeerFrom(shard, bufio.NewReader(conn), conn)
-}
-
-// readPeerFrom relays fkFwd frames addressed to this shard up to the
-// hub until the link dies.
-func (w *worker) readPeerFrom(shard int, r *bufio.Reader, conn net.Conn) {
-	defer func() {
-		conn.Close()
-		w.mu.Lock()
-		// Only forget the link if it is still the one that died.
-		if l := w.links[shard]; l != nil && l.conn == conn {
-			delete(w.links, shard)
-		}
-		w.mu.Unlock()
-	}()
-	for {
-		body, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		if body[0] != fkFwd {
-			continue
-		}
-		m, err := parseWmsg(body[1:])
-		if err != nil || shardOf(m.To, w.k) != w.id {
-			continue
-		}
-		body[0] = fkDeliver
-		w.hub.send(body)
 	}
 }
